@@ -24,8 +24,8 @@ from .errors import (
 )
 from .kernels import KernelSpec, kernel_column, kernel_diag, kernel_eval
 from .losses import LossParams, gamma, l2_part, smoothed_l2, smoothed_l2_grad, \
-    truncated_loss, weight
-from .lowrank import LowRankFactor, from_nystrom, pivoted_cholesky
+    truncated_loss
+from .lowrank import LowRankFactor, pivoted_cholesky
 from .model import EvalReport, Model, evaluate, load, predict_class, predict_raw, save
 from .solver import (
     AnnealSchedule,
@@ -33,8 +33,6 @@ from .solver import (
     TrainReport,
     TrainState,
     cccp_step,
-    cccp_step_direct,
-    dense_reference_train,
     objective,
     precompute,
     train,
@@ -60,10 +58,7 @@ __all__ = [
     "TrainState",
     "UnsupportedVersionError",
     "cccp_step",
-    "cccp_step_direct",
-    "dense_reference_train",
     "evaluate",
-    "from_nystrom",
     "gamma",
     "inject_label_outliers",
     "inject_target_noise",
@@ -89,5 +84,4 @@ __all__ = [
     "train_annealed",
     "train_lssvm",
     "truncated_loss",
-    "weight",
 ]

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -67,44 +68,17 @@ def _workers() -> int:
 
 
 def _load_config_file(path: str) -> dict:
-    """JSON or flat 'key = value' TOML-style config."""
+    """JSON or TOML config."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"bad JSON config: {exc.msg}", offset=exc.pos)
     try:
-        import tomllib  # Python >= 3.11
-    except ModuleNotFoundError:
-        tomllib = None
-    if tomllib is not None:
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise DataFormatError(f"bad TOML config: {exc}")
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise DataFormatError("expected 'key = value'", line=lineno)
-        key = key.strip()
-        val = val.strip().strip('"').strip("'")
-        if val.lower() in ("true", "false"):
-            values[key] = val.lower() == "true"
-        else:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                try:
-                    values[key] = float(val)
-                except ValueError:
-                    values[key] = val
-    return values
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise DataFormatError(f"bad TOML config: {exc}")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -124,6 +98,17 @@ def _require(args, *names):
             raise InvalidInputError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _number(value, option: str, kind=float, default=None):
+    """One flag or --config value as a number; a bad value is a usage error."""
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        wanted = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"--{option} must be {wanted}, got {value!r}") from None
+
+
 def _task(args) -> str:
     name = str(args.task)
     if name not in TASK_ALIASES:
@@ -136,7 +121,7 @@ def _kernel(args) -> KernelSpec:
     if family == GAUSSIAN:
         if args.sigma is None:
             raise InvalidInputError("gaussian kernel requires --sigma")
-        return KernelSpec(GAUSSIAN, float(args.sigma))
+        return KernelSpec(GAUSSIAN, _number(args.sigma, "sigma"))
     if family == LINEAR:
         return KernelSpec(LINEAR)
     raise InvalidInputError(f"unknown kernel {family!r}")
@@ -144,17 +129,19 @@ def _kernel(args) -> KernelSpec:
 
 def _solver_config(args, *, tau=None, mlambda=None) -> SolverConfig:
     anneal = None
-    if args.anneal_delta is not None or args.tau_min is not None:
-        if args.anneal_delta is None or args.tau_min is None:
+    delta = _number(args.anneal_delta, "anneal-delta")
+    tau_min = _number(args.tau_min, "tau-min")
+    if delta is not None or tau_min is not None:
+        if delta is None or tau_min is None:
             raise InvalidInputError("annealing needs both --anneal-delta and --tau-min")
-        anneal = AnnealSchedule(float(args.anneal_delta), float(args.tau_min))
+        anneal = AnnealSchedule(delta, tau_min)
     return SolverConfig(
-        lambda_m=float(mlambda if mlambda is not None else args.mlambda),
-        tau=float(tau if tau is not None else args.tau),
-        rank_r=int(args.rank),
-        p=float(args.p) if args.p is not None else 1e4,
-        epsilon=float(args.epsilon) if args.epsilon is not None else 1e-2,
-        max_iter=int(args.max_iter) if args.max_iter is not None else 200,
+        lambda_m=mlambda if mlambda is not None else _number(args.mlambda, "mlambda"),
+        tau=tau if tau is not None else _number(args.tau, "tau"),
+        rank_r=_number(args.rank, "rank", int),
+        p=_number(args.p, "p", default=1e4),
+        epsilon=_number(args.epsilon, "epsilon", default=1e-2),
+        max_iter=_number(args.max_iter, "max-iter", int, 200),
         anneal=anneal,
     )
 
@@ -177,14 +164,15 @@ def _pad_features(dataset: Dataset, width: int) -> Dataset:
     return Dataset(X, dataset.targets, dataset.task, dataset.meta)
 
 
-def _float_list(text) -> list[float]:
-    if text is None:
+def _float_list(value, option: str) -> list[float]:
+    """A comma-separated flag, or a --config number or list, as floats."""
+    if value is None:
         return []
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return [_number(v, option) for v in value]
 
 
 def _write_json(path, doc) -> None:
@@ -283,13 +271,13 @@ def run_gridsearch(args) -> int:
     _require(args, "data", "task", "kernel", "mlambda", "tau", "rank", "out")
     task = _task(args)
     family = str(args.kernel)
-    mlambdas = _float_list(args.mlambda)
-    taus = _float_list(args.tau)
-    sigmas = _float_list(args.sigma) if family == GAUSSIAN else [None]
+    mlambdas = _float_list(args.mlambda, "mlambda")
+    taus = _float_list(args.tau, "tau")
+    sigmas = _float_list(args.sigma, "sigma") if family == GAUSSIAN else [None]
     if not mlambdas or not taus or not sigmas:
         raise InvalidInputError("gridsearch needs nonempty --mlambda/--sigma/--tau grids")
-    folds = int(args.folds) if args.folds is not None else 5
-    seed = int(args.seed) if args.seed is not None else 0
+    folds = _number(args.folds, "folds", int, 5)
+    seed = _number(args.seed, "seed", int, 0)
     dataset = _read_dataset(args.data, task)
     if folds < 2 or folds > dataset.m:
         raise InvalidInputError(f"--folds must be in [2, m={dataset.m}]")
@@ -367,11 +355,11 @@ def run_bench(args) -> int:
     task = _task(args)
     spec = _kernel(args)
     config = _solver_config(args)
-    repeats = int(args.repeats) if args.repeats is not None else 10
+    repeats = _number(args.repeats, "repeats", int, 10)
     if repeats < 1:
         raise InvalidInputError("--repeats must be >= 1")
-    rate = float(args.outlier_rate) if args.outlier_rate is not None else 0.10
-    seed = int(args.seed) if args.seed is not None else 0
+    rate = _number(args.outlier_rate, "outlier-rate", default=0.10)
+    seed = _number(args.seed, "seed", int, 0)
     methods = [m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()]
     for name in methods:
         if name not in METHODS:
@@ -468,21 +456,21 @@ def run_bench(args) -> int:
 # ----------------------------------------------------------------- main
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON or key=value config file; flags override")
+    sub.add_argument("--config", help="JSON or TOML config file; flags override")
     sub.add_argument("--data", help="training data (sparse text format)")
     sub.add_argument("--test", help="held-out data (sparse text format)")
     sub.add_argument("--task", help="class or reg")
     sub.add_argument("--kernel", help="gaussian or linear")
-    sub.add_argument("--sigma", type=float, help="gaussian kernel width")
+    sub.add_argument("--sigma", help="gaussian kernel width (list allowed in gridsearch)")
     sub.add_argument("--mlambda", help="regularization m*lambda (list allowed in gridsearch)")
     sub.add_argument("--tau", help="truncation level (list allowed in gridsearch)")
-    sub.add_argument("--p", type=float, help="smoothing sharpness (default 1e4)")
-    sub.add_argument("--epsilon", type=float, help="stop threshold (default 1e-2)")
-    sub.add_argument("--rank", type=int, help="low-rank budget r")
-    sub.add_argument("--max-iter", type=int, help="iteration cap (default 200)")
-    sub.add_argument("--anneal-delta", type=float, help="tau shrink factor in (0,1)")
-    sub.add_argument("--tau-min", type=float, help="annealing floor for tau")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
+    sub.add_argument("--p", help="smoothing sharpness (default 1e4)")
+    sub.add_argument("--epsilon", help="stop threshold (default 1e-2)")
+    sub.add_argument("--rank", help="low-rank budget r")
+    sub.add_argument("--max-iter", help="iteration cap (default 200)")
+    sub.add_argument("--anneal-delta", help="tau shrink factor in (0,1)")
+    sub.add_argument("--tau-min", help="annealing floor for tau")
+    sub.add_argument("--seed", help="random seed (default 0)")
     sub.add_argument("--out", help="output path")
     sub.add_argument("--format", choices=("json", "csv"), help="table output format")
 
@@ -510,13 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gridsearch", help="cross-validated grid search")
     _add_common(p)
-    p.add_argument("--folds", type=int, help="CV folds (default 5)")
+    p.add_argument("--folds", help="CV folds (default 5)")
     p.set_defaults(func=run_gridsearch)
 
     p = subs.add_parser("bench", help="repeated outlier-injection benchmark")
     _add_common(p)
-    p.add_argument("--repeats", type=int, help="number of seeded trials (default 10)")
-    p.add_argument("--outlier-rate", type=float, help="net outlier rate (default 0.1)")
+    p.add_argument("--repeats", help="number of seeded trials (default 10)")
+    p.add_argument("--outlier-rate", help="net outlier rate (default 0.1)")
     p.add_argument("--methods", help="comma list from {srlssvm,lssvm}")
     p.set_defaults(func=run_bench)
 

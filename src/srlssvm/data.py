@@ -7,7 +7,6 @@ the same seed always yields byte-identical datasets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -297,15 +296,6 @@ def make_synthetic_regression(n_train: int, n_test: int = 0, n_features: int = 3
     test = Dataset(X_t, y_t, REGRESSION,
                    {"source": "synthetic-regression-test", "seed": seed})
     return train, test
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Export as CSV: one-line header 'm,l,task', then target + features rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([dataset.m, dataset.l, dataset.task])
-        for yi, xi in zip(dataset.targets, dataset.features):
-            writer.writerow([repr(float(yi)), *(repr(float(v)) for v in xi)])
 
 
 def save_sparse_text(dataset: Dataset, path) -> None:

@@ -73,35 +73,8 @@ def gamma(xi, params: LossParams):
     return smoothed_l2_grad(xi, params)
 
 
-def weight(xi, tau):
-    """Effective sample weight: 1 for |xi| <= tau (boundary included), else 0."""
-    xi = np.asarray(xi, dtype=float)
-    return np.where(np.abs(xi) <= tau, 1.0, 0.0)
-
-
-def omega_penalty(omega, tau):
-    """Penalty (tau^2 / 2) * max(1 - omega, 0) paired with the weight variable."""
-    omega = np.asarray(omega, dtype=float)
-    return 0.5 * tau * tau * np.maximum(1.0 - omega, 0.0)
-
-
 def smoothed_truncated_loss(xi, params: LossParams):
     """L_sq - smoothed L_2; the objective's per-sample loss term."""
     xi = np.asarray(xi, dtype=float)
     return 0.5 * xi * xi - smoothed_l2(xi, params)
 
-
-def reweighted_identity_check(xi_grid, tau) -> bool:
-    """True iff min over omega in {0, 1} of omega*xi^2/2 + penalty(omega)
-    reproduces the truncated loss at every grid point.
-
-    The objective is piecewise linear in omega, so its minimum over the
-    nonnegative reals is attained at omega = 0 or omega = 1; checking the
-    two candidates is exact.  Empty grids pass vacuously.
-    """
-    xi = np.asarray(xi_grid, dtype=float)
-    if xi.size == 0:
-        return True
-    at_zero = 0.5 * 0.0 * xi * xi + omega_penalty(0.0, tau)
-    at_one = 0.5 * 1.0 * xi * xi + omega_penalty(1.0, tau)
-    return bool(np.array_equal(np.minimum(at_zero, at_one), truncated_loss(xi, tau)))

@@ -2,13 +2,11 @@
 
 Produces P (m x r) with P P^T ~ K, touching only r kernel columns plus
 the diagonal.  The pivot rows of P form a lower-triangular block with
-positive diagonal, so solves against P_B cost O(r^2).  An adapter wraps
-externally supplied Nystrom blocks into the same factor type.
+positive diagonal, so solves against P_B cost O(r^2).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +26,16 @@ PIVOT_TIE_TOL = 1e-12
 class LowRankFactor:
     """Rank-r factor P with ordered landmark (pivot) indices B.
 
-    ``pivot_triangular`` records whether the rows of P at B, in pivot
-    order, form a lower-triangular block (true for the greedy
-    factorization, not guaranteed for adapted Nystrom blocks); the solver
-    picks the triangular fast path accordingly.  ``trace_history[t]`` is
-    trace(K - P_t P_t^T) after t pivots, starting at trace(K).
-    ``residual_trace`` is None for adapted factors, which never see K's
-    diagonal.
+    The rows of P at B, in pivot order, form a lower-triangular block with
+    positive diagonal; the solver relies on it for its O(r^2) solves.
+    ``trace_history[t]`` is trace(K - P_t P_t^T) after t pivots, starting
+    at trace(K).
     """
 
     P: np.ndarray
     B: tuple[int, ...]
-    residual_trace: float | None
+    residual_trace: float
     trace_history: tuple[float, ...]
-    pivot_triangular: bool = True
 
     @property
     def m(self) -> int:
@@ -108,57 +102,3 @@ def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int,
         trace_history=tuple(history),
     )
 
-
-def from_nystrom(K_MB, K_BB, landmarks=None) -> LowRankFactor:
-    """Wrap Nystrom blocks into a factor: P = K_MB @ K_BB^(-1/2).
-
-    ``landmarks`` gives the row indices of the landmark points within the
-    m rows of K_MB; when omitted they are chosen by QR column pivoting on
-    P^T, which picks r rows forming a well-conditioned square block.  The
-    pivot rows are not triangular here, so the factor is flagged for the
-    general solve path.
-    """
-    K_MB = np.asarray(K_MB, dtype=float)
-    K_BB = np.asarray(K_BB, dtype=float)
-    if K_MB.ndim != 2 or K_BB.ndim != 2 or K_BB.shape[0] != K_BB.shape[1]:
-        raise InvalidInputError("K_MB must be m x r and K_BB r x r")
-    r = K_BB.shape[0]
-    if K_MB.shape[1] != r:
-        raise InvalidInputError(
-            f"K_MB has {K_MB.shape[1]} columns but K_BB is {r} x {r}")
-    if not np.allclose(K_BB, K_BB.T, atol=1e-10 * max(1.0, np.abs(K_BB).max())):
-        raise InvalidInputError("K_BB must be symmetric")
-
-    w, V = np.linalg.eigh(0.5 * (K_BB + K_BB.T))
-    if w.min() <= 1e-12 * max(w.max(), 1.0):
-        raise NumericalError(
-            "K_BB is singular (or indefinite) beyond tolerance; "
-            "cannot form its inverse square root")
-    inv_sqrt = (V / np.sqrt(w)) @ V.T
-    P = K_MB @ inv_sqrt
-
-    if landmarks is None:
-        from scipy.linalg import qr
-
-        _, _, piv = qr(P.T, pivoting=True, mode="economic")
-        landmarks = piv[:r]
-    B = tuple(int(i) for i in landmarks)
-    if len(B) != r or not all(0 <= i < K_MB.shape[0] for i in B):
-        raise InvalidInputError("landmarks must be r distinct row indices of K_MB")
-
-    return LowRankFactor(
-        P=P,
-        B=B,
-        residual_trace=None,
-        trace_history=(),
-        pivot_triangular=False,
-    )
-
-
-def dump_csv(factor: LowRankFactor, path) -> None:
-    """Debug dump: header with m, r, the pivot list, then the rows of P."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", factor.m, "r", factor.r])
-        writer.writerow(["B", *factor.B])
-        writer.writerows(factor.P.tolist())

@@ -20,9 +20,6 @@ which therefore serves as the warm start.
 The trainers run their BLAS calls on one thread and restore the caller's
 OpenBLAS thread counts on return: at r up to a few hundred, waking a
 threaded BLAS for every small product costs more than it saves.
-
-A dense reference trainer iterating the full (m+1)-dimensional system is
-included as a small-scale test oracle only.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from . import losses
 from ._blas import one_blas_thread
@@ -45,8 +42,6 @@ from .model import Model
 GAMMA_NONZERO_TOL = 1e-12
 # estimated condition numbers above this abort precompute
 COND_LIMIT = 1e14
-# largest m the dense reference oracle accepts
-DENSE_ORACLE_MAX_M = 500
 
 
 @dataclass(frozen=True)
@@ -112,21 +107,7 @@ class Precomputed:
         return self.factor.m
 
 
-def _chunked_gram(P: np.ndarray, chunks: int) -> np.ndarray:
-    """P^T P as a row-chunk reduction; result independent of chunk count."""
-    if chunks <= 1:
-        return P.T @ P
-    m = P.shape[0]
-    bounds = np.linspace(0, m, chunks + 1, dtype=int)
-    total = np.zeros((P.shape[1], P.shape[1]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = P[lo:hi]
-        total += block.T @ block
-    return total
-
-
-def precompute(factor: LowRankFactor, y, lambda_m: float, *,
-               chunks: int = 1) -> Precomputed:
+def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
     """Assemble and factor J, the fast-path matrix G, and the warm start."""
     if not lambda_m > 0:
         raise InvalidInputError("lambda_m must be > 0")
@@ -137,7 +118,7 @@ def precompute(factor: LowRankFactor, y, lambda_m: float, *,
         raise InvalidInputError(f"targets must have length m={m}")
 
     P_hat = P.sum(axis=0)
-    J = lambda_m * np.eye(r) + _chunked_gram(P, chunks) - np.outer(P_hat, P_hat) / m
+    J = lambda_m * np.eye(r) + P.T @ P - np.outer(P_hat, P_hat) / m
     try:
         J_cho = cho_factor(J, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - J is PD by construction
@@ -151,12 +132,8 @@ def precompute(factor: LowRankFactor, y, lambda_m: float, *,
             "increase the regularization lambda")
 
     J_inv = cho_solve(J_cho, np.eye(r))
-    P_B_T = factor.P_B.T
-    if factor.pivot_triangular:
-        # P_B^T is upper triangular, so this back-substitution is O(r^2) per column
-        G = solve_triangular(P_B_T, J_inv, lower=False)
-    else:
-        G = np.linalg.solve(P_B_T, J_inv)
+    # P_B^T is upper triangular, so this back-substitution is O(r^2) per column
+    G = solve_triangular(factor.P_B.T, J_inv, lower=False)
 
     rhs = P.T @ y - (y.sum() / m) * P_hat
     upsilon_LS = cho_solve(J_cho, rhs)
@@ -194,31 +171,6 @@ def cccp_step(pre: Precomputed, gamma_t) -> CccpStep:
     b = float(((pre.y - g).sum() - pre.P_hat @ upsilon) / m)
     xi = pre.y - P @ upsilon - b
     return CccpStep(upsilon, alpha_B, b, xi, support_size=len(S))
-
-
-def cccp_step_direct(pre: Precomputed, gamma_t) -> CccpStep:
-    """Reference update solving the centered system from scratch.
-
-    Algebraically identical to :func:`cccp_step`; kept as the independent
-    route for cross-checking the fast path.
-    """
-    g = np.asarray(gamma_t, dtype=float)
-    P = pre.factor.P
-    m = pre.m
-    if g.shape != (m,):
-        raise InvalidInputError(f"gamma must have length m={m}")
-    z = pre.y - g
-    z = z - z.sum() / m
-    upsilon = cho_solve(pre.J_cho, P.T @ z)
-    P_B_T = pre.factor.P_B.T
-    if pre.factor.pivot_triangular:
-        alpha_B = solve_triangular(P_B_T, upsilon, lower=False)
-    else:
-        alpha_B = np.linalg.solve(P_B_T, upsilon)
-    b = float(((pre.y - g).sum() - pre.P_hat @ upsilon) / m)
-    xi = pre.y - P @ upsilon - b
-    return CccpStep(upsilon, alpha_B, b, xi,
-                    support_size=int(np.count_nonzero(np.abs(g) > GAMMA_NONZERO_TOL)))
 
 
 @dataclass(frozen=True)
@@ -329,20 +281,19 @@ def _run_cccp(pre: Precomputed, config: SolverConfig, tau0: float,
     return step, report
 
 
-def _prepare(dataset: Dataset, spec: KernelSpec, config: SolverConfig,
-             chunks: int) -> Precomputed:
+def _prepare(dataset: Dataset, spec: KernelSpec, config: SolverConfig) -> Precomputed:
     if dataset.m < 1:
         raise InvalidInputError("dataset is empty")
     if config.rank_r > dataset.m:
         raise InvalidInputError(
             f"rank_r={config.rank_r} exceeds the number of samples m={dataset.m}")
     factor = pivoted_cholesky(dataset, spec, config.rank_r)
-    return precompute(factor, dataset.targets, config.lambda_m, chunks=chunks)
+    return precompute(factor, dataset.targets, config.lambda_m)
 
 
 @one_blas_thread()
-def train(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
-          chunks: int = 1) -> tuple[Model, TrainReport]:
+def train(dataset: Dataset, spec: KernelSpec,
+          config: SolverConfig) -> tuple[Model, TrainReport]:
     """Robust training at fixed tau.
 
     Runs the CCCP loop from gamma = 0 until the gamma change drops below
@@ -350,14 +301,14 @@ def train(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
     The model carries at most rank_r nonzero coefficients by construction.
     """
     t0 = time.perf_counter()
-    pre = _prepare(dataset, spec, config, chunks)
+    pre = _prepare(dataset, spec, config)
     step, report = _run_cccp(pre, config, config.tau, None, t0)
     return _model_from(dataset, spec, pre.factor, step.alpha_B, step.b), report
 
 
 @one_blas_thread()
-def train_annealed(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
-                   chunks: int = 1) -> tuple[Model, TrainReport]:
+def train_annealed(dataset: Dataset, spec: KernelSpec,
+                   config: SolverConfig) -> tuple[Model, TrainReport]:
     """Robust training with tau annealing.
 
     Starts from tau = delta * max |warm-start residual| (never below
@@ -367,7 +318,7 @@ def train_annealed(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
     if config.anneal is None:
         raise InvalidInputError("train_annealed requires config.anneal")
     t0 = time.perf_counter()
-    pre = _prepare(dataset, spec, config, chunks)
+    pre = _prepare(dataset, spec, config)
     warm = cccp_step(pre, np.zeros(pre.m))
     tau0 = max(config.anneal.delta * float(np.abs(warm.xi).max()),
                config.anneal.tau_min)
@@ -376,15 +327,15 @@ def train_annealed(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
 
 
 @one_blas_thread()
-def train_lssvm(dataset: Dataset, spec: KernelSpec, config: SolverConfig, *,
-                chunks: int = 1) -> tuple[Model, TrainReport]:
+def train_lssvm(dataset: Dataset, spec: KernelSpec,
+                config: SolverConfig) -> tuple[Model, TrainReport]:
     """Plain (non-robust) primal LSSVM on the same low-rank factor.
 
     This is exactly the warm start of :func:`train`: the single convex
     solve with gamma = 0.  Used as the robustness baseline.
     """
     t0 = time.perf_counter()
-    pre = _prepare(dataset, spec, config, chunks)
+    pre = _prepare(dataset, spec, config)
     step = cccp_step(pre, np.zeros(pre.m))
     params = losses.LossParams(tau=config.tau, p=config.p)
     report = TrainReport(
@@ -424,67 +375,3 @@ def objective(model_or_state, dataset: Dataset, config: SolverConfig) -> float:
     state = model_or_state
     return _objective_value(state.upsilon, state.xi, params, config.lambda_m, m)
 
-
-def dense_reference_train(dataset: Dataset, spec: KernelSpec,
-                          config: SolverConfig) -> tuple[Model, TrainReport]:
-    """Small-scale dense CCCP oracle (m <= 500 enforced).
-
-    Iterates the full (m+1)-dimensional centered linear system
-
-        [[m*lambda I_m + K, e], [e^T, 0]] [beta; b] = [y - gamma; 0]
-
-    with the same smoothed gamma refresh and stop rule as :func:`train`.
-    Every training point is a potential support vector here.  The system
-    matrix is factored once and reused across iterations.
-    """
-    t0 = time.perf_counter()
-    m = dataset.m
-    if m > DENSE_ORACLE_MAX_M:
-        raise InvalidInputError(
-            f"dense reference solver is a test oracle; m={m} exceeds {DENSE_ORACLE_MAX_M}")
-    K = gram(spec, dataset.features)
-    A = np.zeros((m + 1, m + 1))
-    A[:m, :m] = config.lambda_m * np.eye(m) + K
-    A[:m, m] = 1.0
-    A[m, :m] = 1.0
-    lu = lu_factor(A)
-
-    params = losses.LossParams(tau=config.tau, p=config.p)
-    y = dataset.targets
-    gamma_prev = np.zeros(m)
-    changes: list[float] = []
-    objectives: list[float] = []
-    supports: list[int] = []
-    converged = False
-    beta = np.zeros(m)
-    b = 0.0
-    gamma_next = gamma_prev
-
-    for _ in range(config.max_iter):
-        sol = lu_solve(lu, np.concatenate([y - gamma_prev, [0.0]]))
-        beta, b = sol[:m], float(sol[m])
-        xi = y - K @ beta - b
-        gamma_next = np.asarray(losses.gamma(xi, params))
-        change = float(np.linalg.norm(gamma_next - gamma_prev))
-        changes.append(change)
-        quad = float(beta @ K @ beta)
-        objectives.append(config.lambda_m / (2.0 * m) * quad + float(
-            np.mean(losses.smoothed_truncated_loss(xi, params))))
-        supports.append(int(np.count_nonzero(np.abs(gamma_prev) > GAMMA_NONZERO_TOL)))
-        if change < config.epsilon:
-            converged = True
-            break
-        gamma_prev = gamma_next
-
-    model = Model(landmarks=dataset.features.copy(), alpha=beta, b=b,
-                  kernel=spec, task=dataset.task)
-    report = TrainReport(
-        iterations=len(changes),
-        converged=converged,
-        gamma_change=changes,
-        objective=objectives,
-        support_sizes=supports,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        rank=m,
-    )
-    return model, report

@@ -17,8 +17,6 @@ from srlssvm import (
     LossParams,
     SolverConfig,
     cccp_step,
-    cccp_step_direct,
-    dense_reference_train,
     evaluate,
     inject_target_noise,
     make_synthetic_linear,
@@ -32,9 +30,10 @@ from srlssvm import (
     train_lssvm,
 )
 from srlssvm.data import save_sparse_text
-from srlssvm.losses import l2_part, reweighted_identity_check, truncated_loss
+from srlssvm.losses import l2_part, truncated_loss
 
 from conftest import dense_kernel_oracle, random_dataset
+from oracles import cccp_step_direct, dense_reference_train, reweighted_identity_check
 
 LIN = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)

@@ -311,3 +311,49 @@ def test_annealed_training_via_cli(class_files, tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "model.json.report.json").read_text())
     assert report["tau_schedule"][-1] == pytest.approx(0.8)
+
+
+def test_gridsearch_sigma_list_from_readme(class_files, tmp_path):
+    # the README's gridsearch line, at a rank the 60-row file allows
+    train_path, _ = class_files
+    out = tmp_path / "grid.json"
+    rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
+                   "--kernel", "gaussian", "--sigma", "0.25,0.5,1.0",
+                   "--mlambda", "1e-3,1e-2", "--tau", "0.5,1.5",
+                   "--rank", "10", "--folds", "5", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    tuples = [(row["mlambda"], row["sigma"], row["tau"]) for row in doc["grid"]]
+    assert sorted(tuples) == [(ml, sg, tv) for ml in (1e-3, 1e-2)
+                              for sg in (0.25, 0.5, 1.0) for tv in (0.5, 1.5)]
+
+
+GOOD_NUMBERS = {"sigma": "0.5", "mlambda": "1e-2", "tau": "1.5", "rank": "2"}
+
+
+@pytest.mark.parametrize("command, option, value, via_config", [
+    ("train", "mlambda", "abc", False),
+    ("train", "tau", "1.5x", False),
+    ("train", "rank", "2.5", False),
+    ("train", "sigma", "0.25,0.5", False),  # one sigma outside gridsearch
+    ("train", "mlambda", "abc", True),
+    ("gridsearch", "mlambda", "1e-2,foo", False),
+    ("gridsearch", "sigma", [0.5, "x"], True),
+])
+def test_non_numeric_value_is_usage_error(class_files, tmp_path, capsys,
+                                          command, option, value, via_config):
+    train_path, _ = class_files
+    argv = [command, "--data", train_path, "--task", "class", "--kernel", "gaussian",
+            "--out", str(tmp_path / "out.json")]
+    for name, good in GOOD_NUMBERS.items():
+        if name != option:
+            argv += [f"--{name}", good]
+    if via_config:
+        config = tmp_path / "run.toml"
+        config.write_text(f"{option} = {json.dumps(value)}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{option}", value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"--{option}" in err

@@ -18,7 +18,7 @@ from srlssvm import (
     split,
     train_lssvm,
 )
-from srlssvm.data import save_csv, save_sparse_text
+from srlssvm.data import save_sparse_text
 
 
 def row_hash(X, rows):
@@ -265,11 +265,3 @@ def test_synthetic_best_linear_accuracy_in_band():
             best = max(best, max(acc, 1.0 - acc))
     assert 0.85 <= best <= 0.95
 
-
-def test_csv_export(tmp_path):
-    ds = make_synthetic_linear(5, 10, 0, seed=0)[0]
-    path = tmp_path / "out.csv"
-    save_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "5,2,classification"
-    assert len(lines) == 6

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srlssvm import InvalidInputError, LossParams, gamma, l2_part, smoothed_l2, \
-    smoothed_l2_grad, truncated_loss, weight
-from srlssvm.losses import reweighted_identity_check, smoothed_truncated_loss
+    smoothed_l2_grad, truncated_loss
+from srlssvm.losses import smoothed_truncated_loss
+
+from oracles import reweighted_identity_check
 
 finite_xi = st.floats(-50, 50, allow_nan=False)
 
@@ -90,13 +92,6 @@ def test_gamma_regimes():
     assert abs(gamma(0.5, params)) < 1e-10
     assert gamma(2.0, params) == pytest.approx(2.0, abs=1e-10)
     assert gamma(1.0, params) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_weight_values():
-    assert weight(0.3, 1.0) == 1.0
-    assert weight(1.5, 1.0) == 0.0
-    assert weight(1.0, 1.0) == 1.0  # boundary goes to the inlier branch
-    assert weight(-2.0, 1.0) == 0.0
 
 
 def test_reweighted_identity_small_grid():

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import srlssvm.kernels as kernels
-import srlssvm.lowrank as lowrank
-from srlssvm import InvalidInputError, KernelSpec, NumericalError, from_nystrom, \
-    pivoted_cholesky
+from srlssvm import InvalidInputError, KernelSpec, NumericalError, pivoted_cholesky
 
 from conftest import dense_kernel_oracle, random_dataset
 
@@ -64,7 +62,6 @@ def test_pivot_block_lower_triangular_positive_diagonal():
     P_B = factor.P_B
     assert np.array_equal(P_B, np.tril(P_B))
     assert (np.diag(P_B) > 0).all()
-    assert factor.pivot_triangular
 
 
 def test_greedy_pivot_rule_matches_dense_recomputation():
@@ -128,48 +125,3 @@ def test_tie_break_prefers_smallest_index():
     factor = pivoted_cholesky(ds, GAUSS, r=3)
     assert factor.B[0] == 0
 
-
-def test_from_nystrom_identity_kbb():
-    K_MB = np.arange(12.0).reshape(6, 2)
-    factor = from_nystrom(K_MB, np.eye(2), landmarks=[0, 1])
-    np.testing.assert_allclose(factor.P, K_MB, atol=1e-12)
-    assert not factor.pivot_triangular
-
-
-def test_from_nystrom_scalar_sqrt():
-    c = np.array([[2.0], [4.0], [6.0]])
-    factor = from_nystrom(c, np.array([[4.0]]), landmarks=[2])
-    np.testing.assert_allclose(factor.P, c / 2.0, atol=1e-12)
-
-
-def test_from_nystrom_matches_direct_dense_formula(rng):
-    A = rng.standard_normal((4, 4))
-    K_BB = A @ A.T + 0.5 * np.eye(4)
-    K_MB = rng.standard_normal((12, 4))
-    factor = from_nystrom(K_MB, K_BB)
-    target = K_MB @ np.linalg.inv(K_BB) @ K_MB.T
-    assert np.abs(factor.P @ factor.P.T - target).max() <= 1e-8
-    # default landmark selection yields an invertible pivot block
-    assert np.linalg.matrix_rank(factor.P_B) == 4
-
-
-def test_from_nystrom_singular_kbb():
-    K_MB = np.ones((5, 2))
-    with pytest.raises(NumericalError):
-        from_nystrom(K_MB, np.ones((2, 2)))
-
-
-def test_from_nystrom_rejects_asymmetric():
-    with pytest.raises(InvalidInputError):
-        from_nystrom(np.ones((3, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_dump_csv(tmp_path):
-    ds = random_dataset(6, 2, seed=10)
-    factor = pivoted_cholesky(ds, GAUSS, r=3)
-    path = tmp_path / "factor.csv"
-    lowrank.dump_csv(factor, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"m,6,r,{factor.r}"
-    assert lines[1].startswith("B,")
-    assert len(lines) == 2 + 6

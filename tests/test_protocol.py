@@ -82,3 +82,10 @@ def test_normalization_statistics_flow_to_test_split():
     assert train_norm.features.max() <= 1.0 + 1e-12
     back = 0.5 * (test_norm.features + 1.0) * (norm.hi - norm.lo) + norm.lo
     np.testing.assert_allclose(back, test_raw.features, atol=1e-10)
+
+
+def test_every_public_name_resolves():
+    import srlssvm
+
+    missing = [name for name in srlssvm.__all__ if not hasattr(srlssvm, name)]
+    assert missing == []

@@ -15,10 +15,7 @@ from srlssvm import (
     NumericalError,
     SolverConfig,
     cccp_step,
-    cccp_step_direct,
-    dense_reference_train,
     evaluate,
-    from_nystrom,
     make_synthetic_linear,
     make_synthetic_regression,
     objective,
@@ -32,9 +29,9 @@ from srlssvm import (
 from srlssvm import _blas, solver
 from srlssvm.losses import gamma as gamma_fn
 from srlssvm.lowrank import LowRankFactor
-from srlssvm.solver import _chunked_gram
 
 from conftest import random_dataset
+from oracles import cccp_step_direct, dense_reference_train
 
 LIN = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)
@@ -99,8 +96,7 @@ def test_precompute_j_minus_lambda_identity_is_psd():
 def test_precompute_singular_j_raises():
     # nearly dependent columns and vanishing regularization
     P = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [2.0, 2.0]])
-    factor = LowRankFactor(P=P, B=(0, 1), residual_trace=0.0, trace_history=(),
-                           pivot_triangular=False)
+    factor = LowRankFactor(P=P, B=(0, 1), residual_trace=0.0, trace_history=())
     with pytest.raises(NumericalError, match="lambda"):
         precompute(factor, np.zeros(3), 1e-18)
 
@@ -111,13 +107,6 @@ def test_precompute_validates_inputs():
         precompute(factor, np.zeros(10), 0.0)
     with pytest.raises(InvalidInputError):
         precompute(factor, np.zeros(9), 1.0)
-
-
-def test_chunked_gram_independent_of_chunk_count(rng):
-    P = rng.standard_normal((101, 7))
-    base = _chunked_gram(P, 1)
-    for chunks in (2, 3, 8, 101):
-        assert np.abs(_chunked_gram(P, chunks) - base).max() <= 1e-10
 
 
 # -------------------------------------------------------------- cccp_step
@@ -168,22 +157,6 @@ def test_step_matches_dense_system_oracle():
     assert np.abs(step.alpha_B - alpha).max() <= 1e-10
     assert abs(step.b - b) <= 1e-10
     np.testing.assert_allclose(step.xi, y - P @ ups - b, atol=1e-10)
-
-
-def test_step_supports_nontriangular_factor(rng):
-    # Nystrom-adapted factors use the general solve path
-    ds = random_dataset(12, 2, seed=4)
-    K = np.exp(-((ds.features[:, None] - ds.features[None, :]) ** 2).sum(-1))
-    B = [0, 3, 7]
-    factor = from_nystrom(K[:, B], K[np.ix_(B, B)], landmarks=B)
-    assert not factor.pivot_triangular
-    pre = precompute(factor, ds.targets, 0.1)
-    g = rng.standard_normal(12) * (rng.uniform(size=12) < 0.5)
-    fast = cccp_step(pre, g)
-    direct = cccp_step_direct(pre, g)
-    assert np.abs(fast.alpha_B - direct.alpha_B).max() <= 1e-10
-    # sparse coefficients expand through P_B^T back to upsilon
-    np.testing.assert_allclose(factor.P_B.T @ fast.alpha_B, fast.upsilon, atol=1e-10)
 
 
 def test_step_validates_gamma_length():
@@ -274,15 +247,6 @@ def test_train_deterministic():
     m2, r2 = train(ds, GAUSS, config)
     assert np.array_equal(m1.alpha, m2.alpha) and m1.b == m2.b
     assert r1.gamma_change == r2.gamma_change
-
-
-def test_train_chunked_precompute_contract():
-    ds, _ = make_factor(60, 10, seed=12)
-    config = SolverConfig(lambda_m=1e-2, tau=0.5, rank_r=10)
-    base, _ = train(ds, GAUSS, config, chunks=1)
-    for chunks in (2, 5):
-        other, _ = train(ds, GAUSS, config, chunks=chunks)
-        assert np.abs(other.alpha - base.alpha).max() <= 1e-10
 
 
 # ------------------------------------------------------------ BLAS threads

@@ -61,10 +61,11 @@ def stable_report_bytes(doc) -> bytes:
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SRLSSVM_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads for gridsearch and bench: SRLSSVM_THREADS, default 1."""
+    value = os.environ.get("SRLSSVM_THREADS", "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise InvalidInputError(f"SRLSSVM_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -81,15 +82,15 @@ def _load_config_file(path: str) -> dict:
         raise DataFormatError(f"bad TOML config: {exc}")
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from --config; explicit flags win."""
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        for key, val in file_values.items():
+def _merge_config(args: argparse.Namespace, options: tuple[str, ...]) -> None:
+    """Fill unset options from --config, whose keys must be ``options``; flags win."""
+    if args.config:
+        for key, val in _load_config_file(args.config).items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            if attr == "config" or attr.replace("_", "-") not in options:
+                raise InvalidInputError(f"--config key {key!r} is not a {args.subcommand} option")
+            if getattr(args, attr) is None:
                 setattr(args, attr, val)
-    return args
 
 
 def _require(args, *names):
@@ -99,12 +100,16 @@ def _require(args, *names):
 
 
 def _number(value, option: str, kind=float, default=None):
-    """One flag or --config value as a number; a bad value is a usage error."""
+    """One flag or --config value as a number; a bad value is a usage error.
+
+    A --config value is converted from its text like a flag: ``rank = 2.5``
+    and ``mlambda = true`` fail as ``--rank 2.5`` does.
+    """
     if value is None:
         return default
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        return kind(str(value))
+    except ValueError:
         wanted = "an integer" if kind is int else "a number"
         raise InvalidInputError(f"--{option} must be {wanted}, got {value!r}") from None
 
@@ -127,14 +132,7 @@ def _kernel(args) -> KernelSpec:
     raise InvalidInputError(f"unknown kernel {family!r}")
 
 
-def _solver_config(args, *, tau=None, mlambda=None) -> SolverConfig:
-    anneal = None
-    delta = _number(args.anneal_delta, "anneal-delta")
-    tau_min = _number(args.tau_min, "tau-min")
-    if delta is not None or tau_min is not None:
-        if delta is None or tau_min is None:
-            raise InvalidInputError("annealing needs both --anneal-delta and --tau-min")
-        anneal = AnnealSchedule(delta, tau_min)
+def _solver_config(args, *, tau=None, mlambda=None, anneal=None) -> SolverConfig:
     return SolverConfig(
         lambda_m=mlambda if mlambda is not None else _number(args.mlambda, "mlambda"),
         tau=tau if tau is not None else _number(args.tau, "tau"),
@@ -196,7 +194,14 @@ def run_train(args) -> int:
     _require(args, "data", "task", "kernel", "mlambda", "tau", "rank", "out")
     task = _task(args)
     spec = _kernel(args)
-    config = _solver_config(args)
+    anneal = None
+    delta = _number(args.anneal_delta, "anneal-delta")
+    tau_min = _number(args.tau_min, "tau-min")
+    if delta is not None or tau_min is not None:
+        if delta is None or tau_min is None:
+            raise InvalidInputError("annealing needs both --anneal-delta and --tau-min")
+        anneal = AnnealSchedule(delta, tau_min)
+    config = _solver_config(args, anneal=anneal)
     dataset = _read_dataset(args.data, task)
 
     trainer = train_annealed if config.anneal is not None else train
@@ -278,6 +283,7 @@ def run_gridsearch(args) -> int:
         raise InvalidInputError("gridsearch needs nonempty --mlambda/--sigma/--tau grids")
     folds = _number(args.folds, "folds", int, 5)
     seed = _number(args.seed, "seed", int, 0)
+    workers = _workers()
     dataset = _read_dataset(args.data, task)
     if folds < 2 or folds > dataset.m:
         raise InvalidInputError(f"--folds must be in [2, m={dataset.m}]")
@@ -310,14 +316,9 @@ def run_gridsearch(args) -> int:
             scores.append(ev.accuracy if task == CLASSIFICATION else ev.rmse)
         return entry, float(np.mean(scores)), float(np.std(scores))
 
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score_tuple, grid))
-    else:
-        results = [score_tuple(entry) for entry in grid]
-    results.sort(key=lambda row: (row[0][0], row[0][1] if row[0][1] is not None else -1.0,
-                                  row[0][2]))
+    # pool.map keeps the grid's order, which is the report's
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(score_tuple, grid))
 
     sign = 1.0 if task == CLASSIFICATION else -1.0
     # best score first; ties prefer larger mlambda, smaller sigma, larger tau
@@ -360,6 +361,7 @@ def run_bench(args) -> int:
         raise InvalidInputError("--repeats must be >= 1")
     rate = _number(args.outlier_rate, "outlier-rate", default=0.10)
     seed = _number(args.seed, "seed", int, 0)
+    workers = _workers()
     methods = [m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()]
     for name in methods:
         if name not in METHODS:
@@ -399,20 +401,15 @@ def run_bench(args) -> int:
                 "iterations": report.iterations,
                 "n_sv": model.n_sv,
             }
-        return rep, out
+        return out
 
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(one_trial, range(repeats)))
-    else:
-        trials = [one_trial(rep) for rep in range(repeats)]
-    trials.sort(key=lambda item: item[0])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        trials = list(pool.map(one_trial, range(repeats)))
 
     metric = "accuracy" if task == CLASSIFICATION else "rmse"
     rows = []
     for name in sorted(methods):
-        series = {key: np.array([out[name][key] for _, out in trials])
+        series = {key: np.array([out[name][key] for out in trials])
                   for key in ("metric", "time_s", "iterations", "n_sv")}
         rows.append({
             "method": name,
@@ -455,24 +452,44 @@ def run_bench(args) -> int:
 
 # ----------------------------------------------------------------- main
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON or TOML config file; flags override")
-    sub.add_argument("--data", help="training data (sparse text format)")
-    sub.add_argument("--test", help="held-out data (sparse text format)")
-    sub.add_argument("--task", help="class or reg")
-    sub.add_argument("--kernel", help="gaussian or linear")
-    sub.add_argument("--sigma", help="gaussian kernel width (list allowed in gridsearch)")
-    sub.add_argument("--mlambda", help="regularization m*lambda (list allowed in gridsearch)")
-    sub.add_argument("--tau", help="truncation level (list allowed in gridsearch)")
-    sub.add_argument("--p", help="smoothing sharpness (default 1e4)")
-    sub.add_argument("--epsilon", help="stop threshold (default 1e-2)")
-    sub.add_argument("--rank", help="low-rank budget r")
-    sub.add_argument("--max-iter", help="iteration cap (default 200)")
-    sub.add_argument("--anneal-delta", help="tau shrink factor in (0,1)")
-    sub.add_argument("--tau-min", help="annealing floor for tau")
-    sub.add_argument("--seed", help="random seed (default 0)")
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--format", choices=("json", "csv"), help="table output format")
+HELP = {
+    "config": "JSON or TOML config file whose keys are options listed here; flags win",
+    "data": "data file (sparse text format)",
+    "test": "held-out data (sparse text format)",
+    "task": "class or reg",
+    "kernel": "gaussian or linear",
+    "sigma": "gaussian kernel width (list allowed in gridsearch)",
+    "mlambda": "regularization m*lambda (list allowed in gridsearch)",
+    "tau": "truncation level (list allowed in gridsearch)",
+    "p": "smoothing sharpness (default 1e4)",
+    "epsilon": "stop threshold (default 1e-2)",
+    "rank": "low-rank budget r",
+    "max-iter": "iteration cap (default 200)",
+    "seed": "random seed (default 0)",
+    "out": "output path",
+    "anneal-delta": "tau shrink factor in (0,1)",
+    "tau-min": "annealing floor for tau",
+    "report": "train report path (default <out>.report.json)",
+    "folds": "CV folds (default 5)",
+    "repeats": "number of seeded trials (default 10)",
+    "outlier-rate": "net outlier rate (default 0.1)",
+    "methods": "comma list from {srlssvm,lssvm}",
+    "format": "table output format (default json)",
+    "model": "model file",
+}
+
+FIT = ("config", "data", "task", "kernel", "sigma", "mlambda", "tau", "p", "epsilon",
+       "rank", "max-iter", "seed", "out")
+
+# subcommand -> (help, handler, the only options it accepts)
+SUBCOMMANDS = {
+    "train": ("train a model", run_train, FIT + ("test", "anneal-delta", "tau-min", "report")),
+    "predict": ("predict with a saved model", run_predict, ("config", "model", "data", "out")),
+    "eval": ("evaluate a saved model", run_eval, ("config", "model", "data", "out")),
+    "gridsearch": ("cross-validated grid search", run_gridsearch, FIT + ("folds", "format")),
+    "bench": ("repeated outlier-injection benchmark", run_bench,
+              FIT + ("test", "repeats", "outlier-rate", "methods", "format")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,43 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="srlssvm",
         description="Sparse robust least-squares SVM training and evaluation")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("train", help="train a model")
-    _add_common(p)
-    p.add_argument("--report", help="train report path (default <out>.report.json)")
-    p.set_defaults(func=run_train)
-
-    p = subs.add_parser("predict", help="predict with a saved model")
-    _add_common(p)
-    p.add_argument("--model", help="model file")
-    p.set_defaults(func=run_predict)
-
-    p = subs.add_parser("eval", help="evaluate a saved model")
-    _add_common(p)
-    p.add_argument("--model", help="model file")
-    p.set_defaults(func=run_eval)
-
-    p = subs.add_parser("gridsearch", help="cross-validated grid search")
-    _add_common(p)
-    p.add_argument("--folds", help="CV folds (default 5)")
-    p.set_defaults(func=run_gridsearch)
-
-    p = subs.add_parser("bench", help="repeated outlier-injection benchmark")
-    _add_common(p)
-    p.add_argument("--repeats", help="number of seeded trials (default 10)")
-    p.add_argument("--outlier-rate", help="net outlier rate (default 0.1)")
-    p.add_argument("--methods", help="comma list from {srlssvm,lssvm}")
-    p.set_defaults(func=run_bench)
-
+    for name, (text, _, options) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for option in options:
+            sub.add_argument(f"--{option}", help=HELP[option],
+                             choices=("json", "csv") if option == "format" else None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, run, options = SUBCOMMANDS[args.subcommand]
     try:
-        args = _merge_config(args)
-        return args.func(args)
+        _merge_config(args, options)
+        return run(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,10 @@ class KernelSpec:
 
     gaussian: k(x, z) = exp(-sigma * ||x - z||^2), sigma > 0
     linear:   k(x, z) = x . z
+
+    In floating point the gaussian kernel takes values in [0, 1]: it is
+    exactly 0 once sigma * ||x - z||^2 exceeds about 745, where exp
+    underflows.
     """
 
     family: str

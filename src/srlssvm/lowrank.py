@@ -20,6 +20,9 @@ NEG_DIAG_TOL = -1e-8
 # pivot candidates within this distance of the max diagonal tie-break to
 # the smallest index, for reproducibility
 PIVOT_TIE_TOL = 1e-12
+# pivoting stops once the largest residual diagonal drops to this times m,
+# which avoids dividing by near-zero pivots
+STOP_TOL_PER_ROW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,22 +54,18 @@ class LowRankFactor:
         return self.P[list(self.B), :]
 
 
-def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int,
-                     tol: float | None = None) -> LowRankFactor:
+def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int) -> LowRankFactor:
     """Greedy max-residual-diagonal pivoted Cholesky of the kernel matrix.
 
     Stops after r pivots, or earlier once the largest residual diagonal
-    drops to ``tol`` (default 1e-12 * m), which avoids dividing by
-    near-zero pivots.  Exactly |B| kernel columns are evaluated.
+    drops to ``STOP_TOL_PER_ROW * m``.  Exactly |B| kernel columns are
+    evaluated.
     """
     X = np.asarray(getattr(dataset, "features", dataset), dtype=float)
     m = X.shape[0]
     if not 1 <= r <= m:
         raise InvalidInputError(f"rank r={r} must satisfy 1 <= r <= m={m}")
-    if tol is None:
-        tol = 1e-12 * m
-    if tol < 0:
-        raise InvalidInputError("tol must be >= 0")
+    tol = STOP_TOL_PER_ROW * m
 
     d = np.asarray(kernels.kernel_diag(spec, dataset), dtype=float).copy()
     P = np.zeros((m, r))

@@ -263,7 +263,13 @@ def test_criterion_9_complexity_scaling():
 
     sizes = (1000, 2000, 4000, 8000)
     train_once(sizes[0])  # warm-up, discarded
-    times = {m: min(train_once(m) for _ in range(5)) for m in sizes}
+    # round-robin over the sizes, so that a slow stretch of the host hits
+    # every size alike instead of one size's five repetitions
+    runs = {m: [] for m in sizes}
+    for _ in range(5):
+        for m in sizes:
+            runs[m].append(train_once(m))
+    times = {m: min(runs[m]) for m in sizes}
     ratios = [times[b] / times[a] for a, b in zip(sizes, sizes[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(1.4 <= r <= 2.6 for r in ratios) and elapsed < 120.0

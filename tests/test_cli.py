@@ -339,6 +339,8 @@ GOOD_NUMBERS = {"sigma": "0.5", "mlambda": "1e-2", "tau": "1.5", "rank": "2"}
     ("train", "mlambda", "abc", True),
     ("gridsearch", "mlambda", "1e-2,foo", False),
     ("gridsearch", "sigma", [0.5, "x"], True),
+    ("train", "rank", 2.5, True),
+    ("train", "mlambda", True, True),
 ])
 def test_non_numeric_value_is_usage_error(class_files, tmp_path, capsys,
                                           command, option, value, via_config):
@@ -357,3 +359,71 @@ def test_non_numeric_value_is_usage_error(class_files, tmp_path, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and f"--{option}" in err
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a flag the subcommand lacks
+        return exc.code
+
+
+@pytest.mark.parametrize("command, extra, unread", [
+    ("predict", ["--rank", "2"], "--rank"),
+    ("eval", ["--sigma", "0.5"], "--sigma"),
+    ("train", ["--format", "csv"], "--format"),
+    ("gridsearch", ["--folds", "3", "--test", "TEST"], "--test"),
+    ("gridsearch", ["--folds", "3", "--anneal-delta", "0.9", "--tau-min", "0.8"],
+     "--anneal-delta"),
+    ("bench", ["--repeats", "1", "--anneal-delta", "0.9", "--tau-min", "0.8"],
+     "--anneal-delta"),
+    ("train", ["--config", "CONFIG"], "'lambda'"),  # CONFIG holds lambda = 1.0
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(
+        class_files, tmp_path, capsys, command, extra, unread):
+    train_path, test_path = class_files
+    model_path = tmp_path / "model.json"
+    assert cli.main(["train", "--data", train_path, "--out", str(model_path), *BASE]) == 0
+    config = tmp_path / "run.toml"
+    config.write_text("lambda = 1.0\n")
+    if command in ("predict", "eval"):
+        argv = [command, "--model", str(model_path), "--data", test_path]
+    else:
+        argv = [command, "--data", train_path, *BASE]
+    argv += ["--out", str(tmp_path / "out")]
+    argv += [{"TEST": test_path, "CONFIG": str(config)}.get(a, a) for a in extra]
+    capsys.readouterr()
+    assert _exit_code(argv) == 2
+    assert unread in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "bench"])
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_srlssvm_threads_must_be_a_positive_integer(class_files, tmp_path, capsys,
+                                                     monkeypatch, command, value):
+    train_path, _ = class_files
+    monkeypatch.setenv("SRLSSVM_THREADS", value)
+    rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
+                   *BASE])
+    assert rc == 2
+    assert "SRLSSVM_THREADS" in capsys.readouterr().err
+
+
+def test_gridsearch_report_does_not_depend_on_worker_count(class_files, tmp_path,
+                                                           monkeypatch):
+    # grids given out of order: the report lists them sorted either way
+    train_path, _ = class_files
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SRLSSVM_THREADS", workers)
+        out = tmp_path / f"grid_{workers}.json"
+        rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
+                       "--kernel", "gaussian", "--sigma", "1.0,0.25,0.5",
+                       "--mlambda", "1e-2,1e-3", "--tau", "1.5,0.5", "--rank", "10",
+                       "--folds", "5", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        reports.append(cli.stable_report_bytes(out))
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0])["grid"]
+    tuples = [(row["mlambda"], row["sigma"], row["tau"]) for row in rows]
+    assert tuples == sorted(tuples)

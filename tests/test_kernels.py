@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from srlssvm import InvalidInputError, KernelSpec, kernel_column, kernel_diag, kernel_eval
 from srlssvm.kernels import gram
@@ -99,12 +99,16 @@ def test_symmetry(x, z):
 
 
 @given(x=vectors, z=vectors)
+@example(x=[0.0, 9.0, -10.0], z=[5.0, -9.0, 10.0])  # exp(-749) underflows to 0
 def test_gaussian_range(x, z):
     n = min(len(x), len(z))
     x, z = np.array(x[:n]), np.array(z[:n])
     k = kernel_eval(GAUSS, x, z)
-    assert 0.0 < k <= 1.0
     d2 = float(((x - z) ** 2).sum())
+    assert 0.0 <= k <= 1.0
+    assert k == pytest.approx(math.exp(-d2), rel=1e-12)
+    if d2 < 700:  # far from exp's underflow near 745
+        assert k > 0.0
     if d2 > 1e-12:  # below that the float result legitimately rounds to 1
         assert k < 1.0
 

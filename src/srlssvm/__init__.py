@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     UnsupportedVersionError,
 )
-from .kernels import KernelSpec, kernel_column, kernel_diag, kernel_eval
+from .kernels import KernelSpec, kernel_column, kernel_diag
 from .losses import LossParams, gamma, l2_part, smoothed_l2, smoothed_l2_grad, \
     truncated_loss
 from .lowrank import LowRankFactor, pivoted_cholesky
@@ -33,10 +33,8 @@ from .solver import (
     TrainReport,
     TrainState,
     cccp_step,
-    objective,
     precompute,
     train,
-    train_annealed,
     train_lssvm,
 )
 
@@ -64,13 +62,11 @@ __all__ = [
     "inject_target_noise",
     "kernel_column",
     "kernel_diag",
-    "kernel_eval",
     "l2_part",
     "load",
     "make_synthetic_linear",
     "make_synthetic_regression",
     "normalize_minmax",
-    "objective",
     "parse_sparse_text",
     "pivoted_cholesky",
     "precompute",
@@ -81,7 +77,6 @@ __all__ = [
     "smoothed_l2_grad",
     "split",
     "train",
-    "train_annealed",
     "train_lssvm",
     "truncated_loss",
 ]

@@ -27,13 +27,7 @@ from .data import CLASSIFICATION, REGRESSION, Dataset
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec
 from .model import evaluate, load, predict_class, predict_raw, save
-from .solver import (
-    AnnealSchedule,
-    SolverConfig,
-    train,
-    train_annealed,
-    train_lssvm,
-)
+from .solver import AnnealSchedule, SolverConfig, train, train_lssvm
 
 TASK_ALIASES = {"class": CLASSIFICATION, "reg": REGRESSION,
                 CLASSIFICATION: CLASSIFICATION, REGRESSION: REGRESSION}
@@ -112,6 +106,14 @@ def _number(value, option: str, kind=float, default=None):
     except ValueError:
         wanted = "an integer" if kind is int else "a number"
         raise InvalidInputError(f"--{option} must be {wanted}, got {value!r}") from None
+
+
+def _csv_format(args) -> bool:
+    """True for ``--format csv``, False for json, the default; flag or --config alike."""
+    fmt = "json" if args.format is None else str(args.format)
+    if fmt not in ("json", "csv"):
+        raise InvalidInputError(f"--format must be json or csv, got {fmt!r}")
+    return fmt == "csv"
 
 
 def _task(args) -> str:
@@ -204,8 +206,7 @@ def run_train(args) -> int:
     config = _solver_config(args, anneal=anneal)
     dataset = _read_dataset(args.data, task)
 
-    trainer = train_annealed if config.anneal is not None else train
-    model, report = trainer(dataset, spec, config)
+    model, report = train(dataset, spec, config)
     save(model, args.out)
 
     doc = {"timestamp": _timestamp(), "n_sv": model.n_sv, **report.as_dict()}
@@ -282,6 +283,7 @@ def run_gridsearch(args) -> int:
     if not mlambdas or not taus or not sigmas:
         raise InvalidInputError("gridsearch needs nonempty --mlambda/--sigma/--tau grids")
     folds = _number(args.folds, "folds", int, 5)
+    as_csv = _csv_format(args)
     seed = _number(args.seed, "seed", int, 0)
     workers = _workers()
     dataset = _read_dataset(args.data, task)
@@ -331,7 +333,7 @@ def run_gridsearch(args) -> int:
             for (ml, sg, tv), mean, std in results]
     chosen = {"mlambda": best[0][0], "sigma": best[0][1], "tau": best[0][2],
               f"{metric}_mean": best[1], f"{metric}_std": best[2]}
-    if (args.format or "json") == "csv":
+    if as_csv:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["mlambda", "sigma", "tau", metric])
@@ -360,6 +362,7 @@ def run_bench(args) -> int:
     if repeats < 1:
         raise InvalidInputError("--repeats must be >= 1")
     rate = _number(args.outlier_rate, "outlier-rate", default=0.10)
+    as_csv = _csv_format(args)
     seed = _number(args.seed, "seed", int, 0)
     workers = _workers()
     methods = [m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()]
@@ -427,7 +430,7 @@ def run_bench(args) -> int:
             "n_sv_std": float(series["n_sv"].std()),
         })
 
-    if (args.format or "json") == "csv":
+    if as_csv:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "mlambda", "sigma", "tau", "iterations",
@@ -474,7 +477,7 @@ HELP = {
     "repeats": "number of seeded trials (default 10)",
     "outlier-rate": "net outlier rate (default 0.1)",
     "methods": "comma list from {srlssvm,lssvm}",
-    "format": "table output format (default json)",
+    "format": "json or csv (default json)",
     "model": "model file",
 }
 
@@ -500,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (text, _, options) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=text)
         for option in options:
-            sub.add_argument(f"--{option}", help=HELP[option],
-                             choices=("json", "csv") if option == "format" else None)
+            sub.add_argument(f"--{option}", help=HELP[option])
     return parser
 
 

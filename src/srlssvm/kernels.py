@@ -1,4 +1,4 @@
-"""Kernel evaluation on demand: single entries, columns, and the diagonal.
+"""Kernel evaluation on demand: columns, the diagonal, and dense blocks.
 
 The training pipeline touches the kernel matrix only through
 :func:`kernel_column` and :func:`kernel_diag`, so at most r columns plus
@@ -50,19 +50,6 @@ def _features(dataset_or_array) -> np.ndarray:
     """Accept a Dataset or a raw (m, l) array."""
     X = getattr(dataset_or_array, "features", dataset_or_array)
     return np.asarray(X, dtype=float)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate k(x, z) for two feature vectors of equal dimension."""
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if x.shape != z.shape or x.size == 0:
-        raise InvalidInputError(
-            f"kernel_eval: incompatible dimensions {x.shape} vs {z.shape}")
-    if spec.family == GAUSSIAN:
-        d = x - z
-        return float(np.exp(-spec.sigma * (d @ d)))
-    return float(x @ z)
 
 
 def kernel_column(spec: KernelSpec, dataset, j: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from srlssvm import Dataset, KernelSpec, kernel_eval
+from srlssvm import Dataset, KernelSpec
+
+from oracles import kernel_eval
 
 
 def dense_kernel_oracle(spec: KernelSpec, X) -> np.ndarray:

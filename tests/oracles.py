@@ -9,12 +9,44 @@ import time
 import numpy as np
 from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
 
-from srlssvm import InvalidInputError, Model, losses
-from srlssvm.kernels import gram
+from srlssvm import InvalidInputError, Model, losses, predict_raw
+from srlssvm.kernels import GAUSSIAN, gram
 from srlssvm.solver import GAMMA_NONZERO_TOL, CccpStep, TrainReport
 
 # largest m the dense reference trainer accepts
 DENSE_ORACLE_MAX_M = 500
+
+
+def kernel_eval(spec, x, z) -> float:
+    """Evaluate k(x, z) for two feature vectors of equal dimension."""
+    x = np.asarray(x, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).ravel()
+    if x.shape != z.shape or x.size == 0:
+        raise InvalidInputError(
+            f"kernel_eval: incompatible dimensions {x.shape} vs {z.shape}")
+    if spec.family == GAUSSIAN:
+        d = x - z
+        return float(np.exp(-spec.sigma * (d @ d)))
+    return float(x @ z)
+
+
+def objective(model_or_state, dataset, config) -> float:
+    """Smoothed robust objective of a model or training state.
+
+    For a model the quadratic term alpha^T K alpha is evaluated on the
+    landmark block; for a state it is ||upsilon||^2, the same quantity
+    expressed through the factor.
+    """
+    params = losses.LossParams(tau=config.tau, p=config.p)
+    if isinstance(model_or_state, Model):
+        model = model_or_state
+        xi = dataset.targets - predict_raw(model, dataset.features)
+        quad = float(model.alpha @ gram(model.kernel, model.landmarks) @ model.alpha)
+    else:
+        xi = model_or_state.xi
+        quad = float(model_or_state.upsilon @ model_or_state.upsilon)
+    return config.lambda_m / (2.0 * dataset.m) * quad + float(
+        np.mean(losses.smoothed_truncated_loss(xi, params)))
 
 
 def cccp_step_direct(pre, gamma_t) -> CccpStep:

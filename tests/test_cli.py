@@ -398,6 +398,23 @@ def test_option_the_subcommand_does_not_read_is_usage_error(
 
 
 @pytest.mark.parametrize("command", ["gridsearch", "bench"])
+@pytest.mark.parametrize("via_config", [True, False])
+def test_unknown_format_is_usage_error(class_files, tmp_path, capsys, command, via_config):
+    train_path, _ = class_files
+    out = tmp_path / "out.json"
+    argv = [command, "--data", train_path, "--out", str(out), *BASE]
+    if via_config:
+        config = tmp_path / "run.toml"
+        config.write_text('format = "xml"\n')
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--format", "xml"]
+    assert _exit_code(argv) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gridsearch", "bench"])
 @pytest.mark.parametrize("value", ["two", "0", "-3"])
 def test_srlssvm_threads_must_be_a_positive_integer(class_files, tmp_path, capsys,
                                                      monkeypatch, command, value):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from srlssvm import InvalidInputError, KernelSpec, kernel_column, kernel_diag, kernel_eval
+from srlssvm import InvalidInputError, KernelSpec, kernel_column, kernel_diag
 from srlssvm.kernels import gram
 
 from conftest import dense_kernel_oracle, random_dataset
+from oracles import kernel_eval
 
 GAUSS = KernelSpec("gaussian", 1.0)
 LIN = KernelSpec("linear")

@@ -1,5 +1,10 @@
 """End-to-end experiment protocols wiring the full library pipeline."""
 
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from srlssvm import (
@@ -16,6 +21,9 @@ from srlssvm import (
     train,
     train_lssvm,
 )
+from srlssvm import solver
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_regression_protocol_end_to_end():
@@ -89,3 +97,21 @@ def test_every_public_name_resolves():
 
     missing = [name for name in srlssvm.__all__ if not hasattr(srlssvm, name)]
     assert missing == []
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    # perfbench wraps and calls program attributes by name: a renamed one
+    # makes a per-layer metric read 0, a deleted one fails the traced run
+    module_spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    module_spec.loader.exec_module(spans)
+    missing = [(owner.__name__, attr) for owner, attr, *_ in spans.BOUNDARIES
+               if attr not in owner.__dict__]
+    assert missing == []
+
+    called = set(re.findall(r"\bsolver\.(\w+)\(", (PERFBENCH / "workloads.py").read_text()))
+    assert {"train_annealed", "train_lssvm"} <= called
+    assert [name for name in called if not hasattr(solver, name)] == []
+    # an alias, so that a traced fit opens one solver.train span
+    assert solver.train_annealed is solver.train

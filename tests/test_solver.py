@@ -18,12 +18,10 @@ from srlssvm import (
     evaluate,
     make_synthetic_linear,
     make_synthetic_regression,
-    objective,
     pivoted_cholesky,
     precompute,
     predict_raw,
     train,
-    train_annealed,
     train_lssvm,
 )
 from srlssvm import _blas, solver
@@ -31,7 +29,7 @@ from srlssvm.losses import gamma as gamma_fn
 from srlssvm.lowrank import LowRankFactor
 
 from conftest import random_dataset
-from oracles import cccp_step_direct, dense_reference_train
+from oracles import cccp_step_direct, dense_reference_train, objective
 
 LIN = KernelSpec("linear")
 GAUSS = KernelSpec("gaussian", 1.0)
@@ -277,7 +275,7 @@ def test_training_runs_blas_on_one_thread_and_restores_callers_count(monkeypatch
     try:
         for (_, set_threads), count in zip(_blas.libraries(), caller):
             set_threads(count)
-        for trainer, cfg in ((train, config), (train_annealed, annealed),
+        for trainer, cfg in ((train, config), (train, annealed),
                              (train_lssvm, config)):
             trainer(ds, GAUSS, cfg)
             assert _blas_threads() == caller
@@ -317,7 +315,7 @@ def test_annealed_with_high_floor_matches_plain_train():
     cfg_a = SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2,
                          anneal=AnnealSchedule(delta=0.9, tau_min=tau_min))
     cfg_p = SolverConfig(lambda_m=1e-2, tau=tau_min, rank_r=2)
-    model_a, report_a = train_annealed(train_ds, LIN, cfg_a)
+    model_a, report_a = train(train_ds, LIN, cfg_a)
     model_p, report_p = train(train_ds, LIN, cfg_p)
     assert report_a.gamma_change == report_p.gamma_change
     assert np.array_equal(model_a.alpha, model_p.alpha)
@@ -328,7 +326,7 @@ def test_annealed_reaches_floor_and_terminates():
     train_ds, _ = make_synthetic_linear(60, 10, 4, seed=2)
     config = SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2,
                           anneal=AnnealSchedule(delta=0.9, tau_min=0.5))
-    model, report = train_annealed(train_ds, LIN, config)
+    model, report = train(train_ds, LIN, config)
     assert report.converged
     assert report.tau_schedule[-1] == pytest.approx(0.5)
     assert report.tau_schedule[0] >= 0.5
@@ -339,16 +337,57 @@ def test_annealed_schedules_recorded_for_both_deltas():
     for delta in (0.5, 0.9):
         config = SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2,
                               anneal=AnnealSchedule(delta=delta, tau_min=0.5))
-        _, report = train_annealed(train_ds, LIN, config)
+        _, report = train(train_ds, LIN, config)
         assert report.converged
         taus = report.tau_schedule
         assert all(b <= a for a, b in zip(taus, taus[1:]))
 
 
-def test_annealed_requires_schedule():
-    ds, _ = make_factor(10, 2, seed=13)
-    with pytest.raises(InvalidInputError):
-        train_annealed(ds, GAUSS, SolverConfig(lambda_m=1.0, tau=1.0, rank_r=2))
+def test_train_honours_anneal_schedule():
+    train_ds, _ = make_synthetic_linear(60, 10, 4, seed=2)
+    schedule = AnnealSchedule(delta=0.9, tau_min=0.5)
+    config = SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2, anneal=schedule)
+    _, report = train(train_ds, LIN, config)
+    _, warm = train_lssvm(train_ds, LIN, config)
+    tau0 = max(schedule.delta * float(np.abs(warm.final_state.xi).max()), schedule.tau_min)
+    assert tau0 > schedule.tau_min  # the schedule has room to anneal
+    assert report.tau_schedule[0] == tau0
+    assert report.tau_schedule[-1] == schedule.tau_min
+    assert report.converged
+
+
+def test_train_lssvm_ignores_anneal_schedule():
+    ds, _ = make_factor(40, 5, seed=6)
+    plain = SolverConfig(lambda_m=1e-1, tau=0.5, rank_r=5)
+    annealed = SolverConfig(lambda_m=1e-1, tau=0.5, rank_r=5,
+                            anneal=AnnealSchedule(delta=0.5, tau_min=0.1))
+    model_p, report_p = train_lssvm(ds, GAUSS, plain)
+    model_a, report_a = train_lssvm(ds, GAUSS, annealed)
+    assert np.array_equal(model_a.alpha, model_p.alpha)
+    assert model_a.b == model_p.b
+    assert report_a.as_dict()["objective"] == report_p.as_dict()["objective"]
+    assert report_a.tau_schedule is None
+
+
+@pytest.mark.parametrize("trainer, anneal", [
+    (train, None),
+    (train, AnnealSchedule(delta=0.9, tau_min=0.5)),
+    (train_lssvm, AnnealSchedule(delta=0.9, tau_min=0.5)),
+])
+def test_one_cccp_step_per_iteration(monkeypatch, trainer, anneal):
+    # the warm start is the first iterate, not a step computed twice
+    calls = []
+    real_step = solver.cccp_step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cccp_step", counting_step)
+    train_ds, _ = make_synthetic_linear(60, 10, 4, seed=2)
+    config = SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2, anneal=anneal)
+    _, report = trainer(train_ds, LIN, config)
+    assert len(calls) == report.iterations
 
 
 # --------------------------------------------------------------- objective

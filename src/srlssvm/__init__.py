@@ -23,8 +23,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .kernels import KernelSpec, kernel_column, kernel_diag
-from .losses import LossParams, gamma, l2_part, smoothed_l2, smoothed_l2_grad, \
-    truncated_loss
+from .losses import LossParams, gamma
 from .lowrank import LowRankFactor, pivoted_cholesky
 from .model import EvalReport, Model, evaluate, load, predict_class, predict_raw, save
 from .solver import (
@@ -62,7 +61,6 @@ __all__ = [
     "inject_target_noise",
     "kernel_column",
     "kernel_diag",
-    "l2_part",
     "load",
     "make_synthetic_linear",
     "make_synthetic_regression",
@@ -73,10 +71,7 @@ __all__ = [
     "predict_class",
     "predict_raw",
     "save",
-    "smoothed_l2",
-    "smoothed_l2_grad",
     "split",
     "train",
     "train_lssvm",
-    "truncated_loss",
 ]

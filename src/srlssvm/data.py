@@ -7,6 +7,7 @@ the same seed always yields byte-identical datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,8 +64,9 @@ def parse_sparse_text(source, task: str = CLASSIFICATION) -> Dataset:
 
     Indices are 1-based and must be strictly ascending within a line;
     omitted entries are zero and l is the largest index seen anywhere.
-    Classification labels are mapped onto {-1, +1} (smaller raw label ->
-    -1), and exactly two distinct raw labels are required.
+    Labels and values must be finite: ``inf`` and ``nan`` are parse
+    errors.  Classification labels are mapped onto {-1, +1} (smaller raw
+    label -> -1), and exactly two distinct raw labels are required.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
@@ -87,6 +89,8 @@ def parse_sparse_text(source, task: str = CLASSIFICATION) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise DataFormatError(f"non-numeric label {tokens[0]!r}", line=lineno)
+        if not math.isfinite(label):
+            raise DataFormatError(f"non-finite label {tokens[0]!r}", line=lineno)
         entries: list[tuple[int, float]] = []
         prev = 0
         for tok in tokens[1:]:
@@ -98,6 +102,8 @@ def parse_sparse_text(source, task: str = CLASSIFICATION) -> Dataset:
                 val = float(val_str)
             except ValueError:
                 raise DataFormatError(f"non-numeric token {tok!r}", line=lineno)
+            if not math.isfinite(val):
+                raise DataFormatError(f"non-finite value in {tok!r}", line=lineno)
             if idx < 1:
                 raise DataFormatError(f"feature index {idx} must be >= 1", line=lineno)
             if idx <= prev:

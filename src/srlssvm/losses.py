@@ -1,4 +1,4 @@
-"""Truncated least-squares loss algebra.
+"""Truncated least-squares loss: the per-sample terms one CCCP step needs.
 
 The robust loss L_tau(xi) = min(tau^2, xi^2) / 2 caps every sample's
 contribution at tau^2 / 2.  It splits as a difference of convex pieces
@@ -10,7 +10,8 @@ well defined everywhere:
     u = xi^2 - tau^2,
 
 which equals softplus(p u) / (2p) and deviates from L_2 by at most
-log(2) / p.  All functions below accept scalars or arrays and are pure.
+log(2) / p.  :func:`gamma` returns that derivative and the smoothed
+truncated loss L_sq - smoothed L_2 from one pass over the residuals.
 """
 
 from __future__ import annotations
@@ -36,45 +37,18 @@ class LossParams:
             raise InvalidInputError("p must be finite and > 0")
 
 
-def truncated_loss(xi, tau):
-    """min(tau^2, xi^2) / 2; bounded by tau^2 / 2."""
-    xi = np.asarray(xi, dtype=float)
-    return np.minimum(0.5 * tau * tau, 0.5 * xi * xi)
+def gamma(xi, params: LossParams):
+    """CCCP linearization coefficient and smoothed truncated loss per sample.
 
-
-def l2_part(xi, tau):
-    """Convex complement: 0 for |xi| <= tau, else (xi^2 - tau^2) / 2."""
-    xi = np.asarray(xi, dtype=float)
-    return np.where(np.abs(xi) <= tau, 0.0, 0.5 * (xi * xi - tau * tau))
-
-
-def smoothed_l2(xi, params: LossParams):
-    """Entropy-smoothed complement; finite for all xi, gap <= log(2)/p."""
-    xi = np.asarray(xi, dtype=float)
-    u = xi * xi - params.tau * params.tau
-    # exp argument is always <= 0, so no overflow guard is needed here
-    return 0.5 * np.maximum(0.0, u) + np.log1p(np.exp(-params.p * np.abs(u))) / (2.0 * params.p)
-
-
-def smoothed_l2_grad(xi, params: LossParams):
-    """Derivative of the smoothed complement.
-
-    xi * min(1, exp(p u)) / (1 + exp(-p |u|)) with u = xi^2 - tau^2; the
-    min is computed as exp(min(0, p u)) so p = 1e4 cannot overflow.
+    Returns ``(gamma, loss)``: gamma = xi * min(1, exp(p u)) / (1 + e),
+    ~0 for inliers and ~xi for outliers, and loss = xi^2 / 2 - smoothed
+    L_2, both from one e = exp(-p|u|).  For u < 0, exp(p u) is e itself,
+    and the exponent is never positive, so p = 1e4 cannot overflow.
     """
     xi = np.asarray(xi, dtype=float)
     u = xi * xi - params.tau * params.tau
     p = params.p
-    return xi * np.exp(np.minimum(0.0, p * u)) / (1.0 + np.exp(-p * np.abs(u)))
-
-
-def gamma(xi, params: LossParams):
-    """CCCP linearization coefficient; ~0 for inliers, ~xi for outliers."""
-    return smoothed_l2_grad(xi, params)
-
-
-def smoothed_truncated_loss(xi, params: LossParams):
-    """L_sq - smoothed L_2; the objective's per-sample loss term."""
-    xi = np.asarray(xi, dtype=float)
-    return 0.5 * xi * xi - smoothed_l2(xi, params)
-
+    e = np.exp(-p * np.abs(u))
+    coeff = xi * np.where(u < 0, e, 1.0) / (1.0 + e)
+    loss = 0.5 * xi * xi - (0.5 * np.maximum(0.0, u) + np.log1p(e) / (2.0 * p))
+    return coeff, loss

@@ -150,7 +150,11 @@ def save(model: Model, path) -> None:
 
 
 def load(path) -> Model:
-    """Read a model file; raises a parse error with the byte offset on damage."""
+    """Read a model file.
+
+    Damage raises a parse error: malformed JSON names the byte offset, a
+    missing or invalid field names the field.
+    """
     with open(path, "r") as fh:
         text = fh.read()
     try:
@@ -163,11 +167,22 @@ def load(path) -> Model:
         raise UnsupportedVersionError(
             f"model file version {doc.get('version')!r} is not supported "
             f"(this build reads version {FORMAT_VERSION})")
+    r, l = _field(doc, "r", int), _field(doc, "l", int)
+    kernel = _field(doc, "kernel", lambda k: KernelSpec(k["family"], k["sigma"]))
+    landmarks = _field(doc, "landmarks", lambda payload: _decode(payload, (r, l)))
+    alpha = _field(doc, "alpha", lambda payload: _decode(payload, (r,)))
+    b, task = _field(doc, "b", float), _field(doc, "task", str)
     try:
-        r, l = int(doc["r"]), int(doc["l"])
-        kernel = KernelSpec(doc["kernel"]["family"], doc["kernel"]["sigma"])
-        landmarks = _decode(doc["landmarks"], (r, l))
-        alpha = _decode(doc["alpha"], (r,))
-        return Model(landmarks, alpha, float(doc["b"]), kernel, doc["task"])
-    except KeyError as exc:
-        raise DataFormatError(f"model file is missing field {exc}") from exc
+        return Model(landmarks, alpha, b, kernel, task)
+    except InvalidInputError as exc:
+        raise DataFormatError(f"invalid model file: {exc}") from exc
+
+
+def _field(doc: dict, name: str, build):
+    """build(doc[name]); any failure is a parse error that names the field."""
+    if name not in doc:
+        raise DataFormatError(f"model file is missing field {name!r}")
+    try:
+        return build(doc[name])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"model file field {name!r} is invalid: {exc}") from exc

@@ -75,12 +75,12 @@ class SolverConfig:
     anneal: AnnealSchedule | None = None
 
     def __post_init__(self):
-        if not self.lambda_m > 0:
-            raise InvalidInputError("lambda_m must be > 0")
-        if not self.tau >= 0:
-            raise InvalidInputError("tau must be >= 0")
-        if not self.p > 0:
-            raise InvalidInputError("p must be > 0")
+        if not (np.isfinite(self.lambda_m) and self.lambda_m > 0):
+            raise InvalidInputError("lambda_m must be finite and > 0")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise InvalidInputError("tau must be finite and >= 0")
+        if not (np.isfinite(self.p) and self.p > 0):
+            raise InvalidInputError("p must be finite and > 0")
         if not self.epsilon > 0:
             raise InvalidInputError("epsilon must be > 0")
         if self.rank_r < 1:
@@ -109,8 +109,8 @@ class Precomputed:
 
 def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
     """Assemble and factor J, the fast-path matrix G, and the warm start."""
-    if not lambda_m > 0:
-        raise InvalidInputError("lambda_m must be > 0")
+    if not (np.isfinite(lambda_m) and lambda_m > 0):
+        raise InvalidInputError("lambda_m must be finite and > 0")
     P = factor.P
     m, r = P.shape
     y = np.asarray(y, dtype=float)
@@ -251,14 +251,14 @@ def _fit(dataset: Dataset, spec: KernelSpec, config: SolverConfig,
     converged = not robust
 
     while True:
+        gamma_next, loss = losses.gamma(step.xi, params)
         # (lambda/2) ||upsilon||^2 + mean smoothed truncated loss, lambda = lambda_m / m
         objectives.append(config.lambda_m / (2.0 * m) * float(step.upsilon @ step.upsilon)
-                          + float(np.mean(losses.smoothed_truncated_loss(step.xi, params))))
+                          + float(np.mean(loss)))
         supports.append(step.support_size)
         taus.append(tau)
         if not robust:
             break
-        gamma_next = np.asarray(losses.gamma(step.xi, params))
         changes.append(float(np.linalg.norm(gamma_next - gamma)))
         gamma = gamma_next
         if changes[-1] < config.epsilon:

@@ -1,7 +1,11 @@
 """Independent reference routes the tests check the solver and losses against.
 
 None of these run in the package: each recomputes a quantity the shipped
-code gets by a faster or more specialised route.
+code gets by a faster or more specialised route.  The loss-identity
+oracles evaluate the truncated loss, its convex complement L_2, the
+entropy-smoothed L_2 and its derivative one formula at a time, where
+:func:`srlssvm.losses.gamma` fuses the derivative and the smoothed loss
+into one pass.
 """
 
 import time
@@ -9,7 +13,7 @@ import time
 import numpy as np
 from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
 
-from srlssvm import InvalidInputError, Model, losses, predict_raw
+from srlssvm import InvalidInputError, LossParams, Model, predict_raw
 from srlssvm.kernels import GAUSSIAN, gram
 from srlssvm.solver import GAMMA_NONZERO_TOL, CccpStep, TrainReport
 
@@ -30,6 +34,44 @@ def kernel_eval(spec, x, z) -> float:
     return float(x @ z)
 
 
+def truncated_loss(xi, tau):
+    """min(tau^2, xi^2) / 2; bounded by tau^2 / 2."""
+    xi = np.asarray(xi, dtype=float)
+    return np.minimum(0.5 * tau * tau, 0.5 * xi * xi)
+
+
+def l2_part(xi, tau):
+    """Convex complement: 0 for |xi| <= tau, else (xi^2 - tau^2) / 2."""
+    xi = np.asarray(xi, dtype=float)
+    return np.where(np.abs(xi) <= tau, 0.0, 0.5 * (xi * xi - tau * tau))
+
+
+def smoothed_l2(xi, params: LossParams):
+    """Entropy-smoothed complement; finite for all xi, gap <= log(2)/p."""
+    xi = np.asarray(xi, dtype=float)
+    u = xi * xi - params.tau * params.tau
+    # exp argument is always <= 0, so no overflow guard is needed here
+    return 0.5 * np.maximum(0.0, u) + np.log1p(np.exp(-params.p * np.abs(u))) / (2.0 * params.p)
+
+
+def smoothed_l2_grad(xi, params: LossParams):
+    """Derivative of the smoothed complement.
+
+    xi * min(1, exp(p u)) / (1 + exp(-p |u|)) with u = xi^2 - tau^2; the
+    min is computed as exp(min(0, p u)) so p = 1e4 cannot overflow.
+    """
+    xi = np.asarray(xi, dtype=float)
+    u = xi * xi - params.tau * params.tau
+    p = params.p
+    return xi * np.exp(np.minimum(0.0, p * u)) / (1.0 + np.exp(-p * np.abs(u)))
+
+
+def smoothed_truncated_loss(xi, params: LossParams):
+    """L_sq - smoothed L_2; the objective's per-sample loss term."""
+    xi = np.asarray(xi, dtype=float)
+    return 0.5 * xi * xi - smoothed_l2(xi, params)
+
+
 def objective(model_or_state, dataset, config) -> float:
     """Smoothed robust objective of a model or training state.
 
@@ -37,7 +79,7 @@ def objective(model_or_state, dataset, config) -> float:
     landmark block; for a state it is ||upsilon||^2, the same quantity
     expressed through the factor.
     """
-    params = losses.LossParams(tau=config.tau, p=config.p)
+    params = LossParams(tau=config.tau, p=config.p)
     if isinstance(model_or_state, Model):
         model = model_or_state
         xi = dataset.targets - predict_raw(model, dataset.features)
@@ -46,7 +88,7 @@ def objective(model_or_state, dataset, config) -> float:
         xi = model_or_state.xi
         quad = float(model_or_state.upsilon @ model_or_state.upsilon)
     return config.lambda_m / (2.0 * dataset.m) * quad + float(
-        np.mean(losses.smoothed_truncated_loss(xi, params)))
+        np.mean(smoothed_truncated_loss(xi, params)))
 
 
 def cccp_step_direct(pre, gamma_t) -> CccpStep:
@@ -93,7 +135,7 @@ def dense_reference_train(dataset, spec, config):
     A[m, :m] = 1.0
     lu = lu_factor(A)
 
-    params = losses.LossParams(tau=config.tau, p=config.p)
+    params = LossParams(tau=config.tau, p=config.p)
     y = dataset.targets
     gamma_prev = np.zeros(m)
     changes: list[float] = []
@@ -108,12 +150,12 @@ def dense_reference_train(dataset, spec, config):
         sol = lu_solve(lu, np.concatenate([y - gamma_prev, [0.0]]))
         beta, b = sol[:m], float(sol[m])
         xi = y - K @ beta - b
-        gamma_next = np.asarray(losses.gamma(xi, params))
+        gamma_next = smoothed_l2_grad(xi, params)
         change = float(np.linalg.norm(gamma_next - gamma_prev))
         changes.append(change)
         quad = float(beta @ K @ beta)
         objectives.append(config.lambda_m / (2.0 * m) * quad + float(
-            np.mean(losses.smoothed_truncated_loss(xi, params))))
+            np.mean(smoothed_truncated_loss(xi, params))))
         supports.append(int(np.count_nonzero(np.abs(gamma_prev) > GAMMA_NONZERO_TOL)))
         if change < config.epsilon:
             converged = True
@@ -156,5 +198,5 @@ def reweighted_identity_check(xi_grid, tau) -> bool:
     at_one = 0.5 * 1.0 * xi * xi + omega_penalty(1.0, tau)
     # ties (|xi| == tau) go to omega = 1, the inlier branch
     argmin_omega = np.where(at_one <= at_zero, 1.0, 0.0)
-    return bool(np.array_equal(np.minimum(at_zero, at_one), losses.truncated_loss(xi, tau))
+    return bool(np.array_equal(np.minimum(at_zero, at_one), truncated_loss(xi, tau))
                 and np.array_equal(argmin_omega, np.where(np.abs(xi) <= tau, 1.0, 0.0)))

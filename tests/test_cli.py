@@ -444,3 +444,51 @@ def test_gridsearch_report_does_not_depend_on_worker_count(class_files, tmp_path
     rows = json.loads(reports[0])["grid"]
     tuples = [(row["mlambda"], row["sigma"], row["tau"]) for row in rows]
     assert tuples == sorted(tuples)
+
+
+@pytest.mark.parametrize("command, mlambda", [
+    ("train", "inf"),
+    ("train", "1e400"),
+    ("gridsearch", "1e-2,inf"),
+])
+def test_non_finite_regularization_is_usage_error(class_files, tmp_path, capsys,
+                                                  command, mlambda):
+    train_path, _ = class_files
+    rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
+                   "--task", "class", "--kernel", "linear", "--mlambda", mlambda,
+                   "--tau", "1.5", "--rank", "2"])
+    assert rc == 2
+    assert "lambda_m must be finite" in capsys.readouterr().err
+
+
+def test_damaged_model_file_is_data_error(class_files, tmp_path, capsys):
+    train_path, test_path = class_files
+    model_path = tmp_path / "model.json"
+    assert cli.main(["train", "--data", train_path, "--out", str(model_path), *BASE]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["r"] = "abc"
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model_path), "--data", test_path,
+                   "--out", str(tmp_path / "preds.csv")])
+    assert rc == 3
+    assert "'r'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("eval", "1 1:inf\n-1 1:0.5\n"),
+    ("train", "nan 1:0.5\n1 1:1\n-1 1:-1\n"),
+])
+def test_non_finite_data_token_is_data_error(class_files, tmp_path, capsys, command, rows):
+    train_path, _ = class_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(rows)
+    if command == "eval":
+        model_path = tmp_path / "model.json"
+        assert cli.main(["train", "--data", train_path, "--out", str(model_path), *BASE]) == 0
+        argv = ["eval", "--model", str(model_path), "--data", str(bad)]
+    else:
+        argv = ["train", "--data", str(bad), *BASE]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    assert "line 1" in capsys.readouterr().err

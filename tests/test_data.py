@@ -71,6 +71,18 @@ def test_parse_errors_carry_line_numbers():
         parse_sparse_text(b"xyz 1:1\n", task="classification")
 
 
+@pytest.mark.parametrize("text", [
+    b"1 1:inf\n-1 1:0.5\n",
+    b"1 1:1e400\n-1 1:0.5\n",
+    b"1 1:nan\n-1 1:0.5\n",
+    b"nan 1:1\n-1 1:0.5\n",
+    b"-inf 1:1\n-1 1:0.5\n",
+])
+def test_parse_rejects_non_finite_tokens(text):
+    with pytest.raises(DataFormatError, match="line 1"):
+        parse_sparse_text(text, task="regression")
+
+
 def test_parse_too_many_labels():
     with pytest.raises(InvalidInputError):
         parse_sparse_text(b"1 1:1\n2 1:1\n3 1:1\n", task="classification")

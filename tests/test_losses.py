@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from srlssvm import InvalidInputError, LossParams, gamma, l2_part, smoothed_l2, \
-    smoothed_l2_grad, truncated_loss
-from srlssvm.losses import smoothed_truncated_loss
+from srlssvm import InvalidInputError, LossParams, gamma
 
-from oracles import reweighted_identity_check
+from oracles import l2_part, reweighted_identity_check, smoothed_l2, smoothed_l2_grad, \
+    smoothed_truncated_loss, truncated_loss
 
 finite_xi = st.floats(-50, 50, allow_nan=False)
 
@@ -89,9 +88,21 @@ def test_grad_matches_finite_differences():
 
 def test_gamma_regimes():
     params = LossParams(tau=1.0, p=1e4)
-    assert abs(gamma(0.5, params)) < 1e-10
-    assert gamma(2.0, params) == pytest.approx(2.0, abs=1e-10)
-    assert gamma(1.0, params) == pytest.approx(0.5, rel=1e-12)
+    assert abs(gamma(0.5, params)[0]) < 1e-10
+    assert gamma(2.0, params)[0] == pytest.approx(2.0, abs=1e-10)
+    assert gamma(1.0, params)[0] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_gamma_fuses_the_oracle_gradient_and_loss():
+    # the acceptance grid, plus tau = 0, xi = 0, xi = +-tau and the far plateau
+    for tau in (0.0, 0.5, 1.2, 2.0):
+        span = 10 * tau if tau else 10.0
+        xi = np.concatenate([np.linspace(-span, span, 100_000), [0.0, tau, -tau, 50.0, -50.0]])
+        for p in (10.0, 1e2, 1e4):
+            params = LossParams(tau=tau, p=p)
+            coeff, loss = gamma(xi, params)
+            assert np.array_equal(coeff, smoothed_l2_grad(xi, params))
+            assert np.array_equal(loss, smoothed_truncated_loss(xi, params))
 
 
 def test_reweighted_identity_small_grid():
@@ -117,7 +128,7 @@ def test_reweighted_identity_empty_grid():
 
 def test_smoothed_truncated_loss_caps_at_plateau():
     params = LossParams(tau=1.0, p=1e4)
-    val = smoothed_truncated_loss(3.0, params)
+    val = gamma(3.0, params)[1]
     assert val == pytest.approx(0.5, abs=math.log(2) / 1e4)
 
 
@@ -131,9 +142,9 @@ def test_dc_identity_property(xi, tau):
 @given(xi=finite_xi)
 def test_gamma_odd_and_monotone_sign(xi):
     params = LossParams(tau=1.0, p=100.0)
-    assert float(gamma(-xi, params)) == -float(gamma(xi, params))
+    assert float(gamma(-xi, params)[0]) == -float(gamma(xi, params)[0])
     if xi >= 0:
-        assert float(gamma(xi, params)) >= 0.0
+        assert float(gamma(xi, params)[0]) >= 0.0
 
 
 @given(xi=finite_xi, p=st.sampled_from([10.0, 1e2, 1e4]))

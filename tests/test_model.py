@@ -162,6 +162,37 @@ def test_load_wrong_payload_length(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("r", "abc", "'r'"),
+    ("r", None, "'r'"),
+    ("b", "x", "'b'"),
+    ("b", float("nan"), "finite"),
+    ("kernel", 5, "'kernel'"),
+    ("kernel", {"family": "gaussian", "sigma": None}, "'kernel'"),
+    ("task", "foo", "task"),
+])
+def test_load_damaged_field_is_named_parse_error(tmp_path, field, value, named):
+    model, _ = trained_model()
+    path = tmp_path / "model.json"
+    save(model, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=named):
+        load(path)
+
+
+def test_load_missing_field_is_named(tmp_path):
+    model, _ = trained_model()
+    path = tmp_path / "model.json"
+    save(model, path)
+    doc = json.loads(path.read_text())
+    del doc["alpha"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="missing field 'alpha'"):
+        load(path)
+
+
 def test_n_sv_counts_above_tolerance():
     m = Model(np.zeros((3, 1)), np.array([1e-13, -0.5, 2.0]), b=0.0,
               kernel=LIN, task="regression")

@@ -25,7 +25,6 @@ from srlssvm import (
     train_lssvm,
 )
 from srlssvm import _blas, solver
-from srlssvm.losses import gamma as gamma_fn
 from srlssvm.lowrank import LowRankFactor
 
 from conftest import random_dataset
@@ -105,6 +104,17 @@ def test_precompute_validates_inputs():
         precompute(factor, np.zeros(10), 0.0)
     with pytest.raises(InvalidInputError):
         precompute(factor, np.zeros(9), 1.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        precompute(factor, np.zeros(10), math.inf)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lambda_m", math.inf), ("lambda_m", math.nan), ("tau", math.inf), ("p", math.inf),
+])
+def test_config_requires_finite_values(name, value):
+    kwargs = {"lambda_m": 1e-2, "tau": 1.5, "rank_r": 2, name: value}
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+        SolverConfig(**kwargs)
 
 
 # -------------------------------------------------------------- cccp_step

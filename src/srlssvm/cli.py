@@ -306,21 +306,23 @@ def run_gridsearch(args) -> int:
 
     grid = [(ml, sg, tv) for ml in sorted(mlambdas) for sg in sorted(
         sigmas, key=lambda s: (s is None, s)) for tv in sorted(taus)]
+    # every tuple's kernel and config first, so that a bad grid value is a
+    # usage error before any fit runs
+    setups = [(KernelSpec(family, sg) if family == GAUSSIAN else KernelSpec(LINEAR),
+               _solver_config(args, tau=tv, mlambda=ml)) for ml, sg, tv in grid]
 
-    def score_tuple(entry):
-        ml, sg, tv = entry
-        spec = KernelSpec(family, sg) if family == GAUSSIAN else KernelSpec(LINEAR)
-        config = _solver_config(args, tau=tv, mlambda=ml)
+    def score(setup):
+        spec, config = setup
         scores = []
         for train_idx, val_idx in usable:
             model, _ = train(dataset.take(train_idx), spec, config)
             ev = evaluate(model, dataset.take(val_idx))
             scores.append(ev.accuracy if task == CLASSIFICATION else ev.rmse)
-        return entry, float(np.mean(scores)), float(np.std(scores))
+        return float(np.mean(scores)), float(np.std(scores))
 
     # pool.map keeps the grid's order, which is the report's
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(score_tuple, grid))
+        results = [(entry, *stats) for entry, stats in zip(grid, pool.map(score, setups))]
 
     sign = 1.0 if task == CLASSIFICATION else -1.0
     # best score first; ties prefer larger mlambda, smaller sigma, larger tau

@@ -1,10 +1,13 @@
 """Kernel evaluation on demand: columns, the diagonal, and dense blocks.
 
-The training pipeline touches the kernel matrix only through
-:func:`kernel_column` and :func:`kernel_diag`, so at most r columns plus
-the diagonal are ever materialized.  :func:`gram` builds dense blocks for
-prediction (landmarks x queries) and for small test oracles; the training
-loop never calls it on the full m x m matrix.
+:func:`gram` is the one routine that evaluates kernel blocks k(X_i, Z_j):
+O(n r l) time and O(n r) memory for n x l queries against r x l points,
+with no (n, r, l) intermediate.  The training pipeline touches the kernel
+matrix only through :func:`kernel_column`, which is one column of
+:func:`gram`, and :func:`kernel_diag`, so at most r columns plus the
+diagonal are ever materialized.  Prediction evaluates queries against the
+landmarks with :func:`gram`; the training loop never calls it on the full
+m x m matrix.
 
 All functions are pure and safe for concurrent use.
 """
@@ -58,10 +61,7 @@ def kernel_column(spec: KernelSpec, dataset, j: int) -> np.ndarray:
     m = X.shape[0]
     if not 0 <= j < m:
         raise InvalidInputError(f"kernel_column: index {j} out of range [0, {m})")
-    if spec.family == GAUSSIAN:
-        d = X - X[j]
-        return np.exp(-spec.sigma * (d * d).sum(axis=1))
-    return X @ X[j]
+    return gram(spec, X, X[j:j + 1])[:, 0]
 
 
 def kernel_diag(spec: KernelSpec, dataset) -> np.ndarray:
@@ -73,17 +73,28 @@ def kernel_diag(spec: KernelSpec, dataset) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
-    """Dense kernel block k(X_i, Z_j).
+    """Dense kernel block k(X_i, Z_j), of shape (n, r).
 
-    Meant for prediction against landmark sets and for small-scale test
-    oracles; the training pipeline proper never builds the m x m matrix.
+    The gaussian block comes from the expansion ||x - c||^2 + ||z - c||^2
+    - 2 (x - c).(z - c) with c = Z[0], which leaves distances unchanged.
+    The shift keeps data far from the origin from cancelling, and makes
+    k(x, Z[0]) exactly 1 wherever x equals Z[0], so a kernel column's own
+    entry is 1.  Rounding can leave a tiny negative squared distance
+    elsewhere; it is clamped to 0.
     """
     X = _features(X)
     Z = X if Z is None else _features(Z)
     if X.shape[1] != Z.shape[1]:
         raise InvalidInputError(
             f"gram: dimension mismatch {X.shape[1]} vs {Z.shape[1]}")
-    if spec.family == GAUSSIAN:
-        d = X[:, None, :] - Z[None, :, :]
-        return np.exp(-spec.sigma * (d * d).sum(axis=-1))
-    return X @ Z.T
+    if spec.family == LINEAR:
+        return X @ Z.T
+    c = Z[0] if len(Z) else 0.0  # a loaded model may have no landmarks
+    Xc, Zc = X - c, Z - c
+    d2 = Xc @ Zc.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", Xc, Xc)[:, None]
+    d2 += np.einsum("ij,ij->i", Zc, Zc)
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -spec.sigma
+    return np.exp(d2, out=d2)

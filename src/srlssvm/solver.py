@@ -81,8 +81,8 @@ class SolverConfig:
             raise InvalidInputError("tau must be finite and >= 0")
         if not (np.isfinite(self.p) and self.p > 0):
             raise InvalidInputError("p must be finite and > 0")
-        if not self.epsilon > 0:
-            raise InvalidInputError("epsilon must be > 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidInputError("epsilon must be finite and > 0")
         if self.rank_r < 1:
             raise InvalidInputError("rank_r must be a positive integer")
         if self.max_iter < 1:

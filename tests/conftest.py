@@ -1,5 +1,7 @@
 """Shared fixtures and independent test oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def random_dataset(m, l, seed, task="regression"):
     else:
         y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.standard_normal(m)
     return Dataset(X, y, task)
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes allocated while ``call()`` runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -446,19 +446,35 @@ def test_gridsearch_report_does_not_depend_on_worker_count(class_files, tmp_path
     assert tuples == sorted(tuples)
 
 
-@pytest.mark.parametrize("command, mlambda", [
-    ("train", "inf"),
-    ("train", "1e400"),
-    ("gridsearch", "1e-2,inf"),
-])
+@pytest.mark.parametrize("command, mlambda, extra, message", [
+    ("train", "inf", [], "lambda_m must be finite"),
+    ("train", "1e400", [], "lambda_m must be finite"),
+    ("gridsearch", "1e-2,inf", [], "lambda_m must be finite"),
+    ("train", "1e-2", ["--epsilon", "inf"], "epsilon must be finite"),
+], ids=["train-inf", "train-1e400", "gridsearch-1e-2,inf", "train-epsilon-inf"])
 def test_non_finite_regularization_is_usage_error(class_files, tmp_path, capsys,
-                                                  command, mlambda):
+                                                  command, mlambda, extra, message):
     train_path, _ = class_files
     rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
                    "--task", "class", "--kernel", "linear", "--mlambda", mlambda,
-                   "--tau", "1.5", "--rank", "2"])
+                   "--tau", "1.5", "--rank", "2", *extra])
     assert rc == 2
-    assert "lambda_m must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, values", [("mlambda", "1e-2,inf"), ("tau", "1.5,inf")])
+def test_gridsearch_bad_grid_value_fails_before_any_fit(class_files, tmp_path, monkeypatch,
+                                                        option, values):
+    train_path, _ = class_files
+    fits = []
+    train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *args: fits.append(1) or train(*args))
+    grid = {"mlambda": "1e-2", "tau": "1.5", option: values}
+    rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
+                   "--kernel", "linear", "--mlambda", grid["mlambda"], "--tau", grid["tau"],
+                   "--rank", "2", "--folds", "5", "--out", str(tmp_path / "grid.json")])
+    assert rc == 2
+    assert fits == []
 
 
 def test_damaged_model_file_is_data_error(class_files, tmp_path, capsys):

@@ -61,9 +61,20 @@ def test_column_duplicated_rows():
 
 def test_column_matches_dense_oracle():
     ds = random_dataset(3, 2, seed=1)
-    K = dense_kernel_oracle(GAUSS, ds.features)
-    for j in range(3):
-        np.testing.assert_allclose(kernel_column(GAUSS, ds, j), K[j], atol=1e-12)
+    X = ds.features
+    for spec in (GAUSS, LIN):
+        K = dense_kernel_oracle(spec, X)
+        for j in range(3):
+            col = kernel_column(spec, ds, j)
+            # a column is gram's, computed by the same routine
+            assert np.array_equal(col, gram(spec, X, X[j:j + 1])[:, 0])
+            np.testing.assert_allclose(col, K[j], atol=1e-12)
+
+
+def test_column_self_entry_is_exactly_one():
+    X = 100.0 * random_dataset(50, 7, seed=5).features + 1e3
+    for j in range(50):
+        assert kernel_column(GAUSS, X, j)[j] == 1.0
 
 
 def test_column_index_out_of_range():
@@ -124,9 +135,13 @@ def test_psd_spot_check(seed, spec):
 
 
 def test_gram_cross_block():
-    ds = random_dataset(6, 2, seed=4)
-    K = dense_kernel_oracle(GAUSS, ds.features)
-    np.testing.assert_allclose(gram(GAUSS, ds.features, ds.features[:2]),
-                               K[:, :2], atol=1e-12)
+    X = random_dataset(6, 2, seed=4).features
+    Z = random_dataset(3, 2, seed=6).features
+    # far from the origin an unshifted expansion ||x||^2 + ||z||^2 - 2 x.z
+    # misses these blocks by 2.6e-10 at 1e3 and 1.8e-8 at 1e4
+    for offset in (0.0, 1e3, 1e4):
+        K = dense_kernel_oracle(GAUSS, np.vstack([X, Z]) + offset)
+        np.testing.assert_allclose(gram(GAUSS, X + offset, Z + offset), K[:6, 6:],
+                                   rtol=0, atol=1e-12)
     with pytest.raises(InvalidInputError):
-        gram(GAUSS, ds.features, np.ones((2, 5)))
+        gram(GAUSS, X, np.ones((2, 5)))

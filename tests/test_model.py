@@ -20,6 +20,8 @@ from srlssvm import (
     train,
 )
 
+from conftest import traced_peak_bytes
+
 LIN = KernelSpec("linear")
 
 
@@ -70,6 +72,18 @@ def test_prediction_linearity_in_alpha():
     f = predict_raw(model, test_ds.features)
     np.testing.assert_allclose(predict_raw(scaled, test_ds.features), 3.0 * f,
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r", [(2000, 256), (10000, 64)])
+def test_predict_raw_memory_is_o_n_r(n, r):
+    # the paper's prediction cost: one (n, r) kernel block, plus O((n + r) l)
+    l = 16
+    rng = np.random.default_rng(0)
+    model = Model(rng.uniform(-1.0, 1.0, (r, l)), rng.standard_normal(r), b=0.0,
+                  kernel=KernelSpec("gaussian", 0.1), task="regression")
+    X = rng.uniform(-1.0, 1.0, (n, l))
+    peak = traced_peak_bytes(lambda: predict_raw(model, X))
+    assert peak <= 2 * 8 * n * r + 4 * 8 * (n + r) * l
 
 
 def test_evaluate_perfect_predictions():

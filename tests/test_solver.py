@@ -27,7 +27,7 @@ from srlssvm import (
 from srlssvm import _blas, solver
 from srlssvm.lowrank import LowRankFactor
 
-from conftest import random_dataset
+from conftest import random_dataset, traced_peak_bytes
 from oracles import cccp_step_direct, dense_reference_train, objective
 
 LIN = KernelSpec("linear")
@@ -110,6 +110,7 @@ def test_precompute_validates_inputs():
 
 @pytest.mark.parametrize("name, value", [
     ("lambda_m", math.inf), ("lambda_m", math.nan), ("tau", math.inf), ("p", math.inf),
+    ("epsilon", math.inf), ("epsilon", math.nan),
 ])
 def test_config_requires_finite_values(name, value):
     kwargs = {"lambda_m": 1e-2, "tau": 1.5, "rank_r": 2, name: value}
@@ -255,6 +256,22 @@ def test_train_deterministic():
     m2, r2 = train(ds, GAUSS, config)
     assert np.array_equal(m1.alpha, m2.alpha) and m1.b == m2.b
     assert r1.gamma_change == r2.gamma_change
+
+
+@pytest.mark.parametrize("m, r", [(4000, 64), (10000, 128)])
+def test_train_memory_is_o_m_r(m, r):
+    # the factor P is 8 m r bytes and each CCCP step gathers the rows of P on
+    # the support S, at most m of them; kernel columns add O(m l)
+    l = 16
+    ds, _ = make_synthetic_regression(m, n_features=l, seed=0)
+    rng = np.random.default_rng(0)
+    y = ds.targets.copy()
+    idx = rng.choice(m, m // 10, replace=False)
+    y[idx] += rng.normal(0.0, 3.0, idx.size)
+    ds = Dataset(ds.features, y, ds.task)
+    config = SolverConfig(lambda_m=1e-2, tau=0.5, rank_r=r)
+    peak = traced_peak_bytes(lambda: train(ds, KernelSpec("gaussian", 0.5), config))
+    assert peak <= 2 * 8 * m * r + 4 * 8 * m * l
 
 
 # ------------------------------------------------------------ BLAS threads

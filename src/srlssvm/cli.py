@@ -108,6 +108,13 @@ def _number(value, option: str, kind=float, default=None):
         raise InvalidInputError(f"--{option} must be {wanted}, got {value!r}") from None
 
 
+def _seed(args) -> int:
+    seed = _number(args.seed, "seed", int, 0)
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _csv_format(args) -> bool:
     """True for ``--format csv``, False for json, the default; flag or --config alike."""
     fmt = "json" if args.format is None else str(args.format)
@@ -204,6 +211,7 @@ def run_train(args) -> int:
             raise InvalidInputError("annealing needs both --anneal-delta and --tau-min")
         anneal = AnnealSchedule(delta, tau_min)
     config = _solver_config(args, anneal=anneal)
+    _seed(args)  # accepted and checked like the other subcommands, but unused
     dataset = _read_dataset(args.data, task)
 
     model, report = train(dataset, spec, config)
@@ -284,7 +292,7 @@ def run_gridsearch(args) -> int:
         raise InvalidInputError("gridsearch needs nonempty --mlambda/--sigma/--tau grids")
     folds = _number(args.folds, "folds", int, 5)
     as_csv = _csv_format(args)
-    seed = _number(args.seed, "seed", int, 0)
+    seed = _seed(args)
     workers = _workers()
     dataset = _read_dataset(args.data, task)
     if folds < 2 or folds > dataset.m:
@@ -364,9 +372,15 @@ def run_bench(args) -> int:
     if repeats < 1:
         raise InvalidInputError("--repeats must be >= 1")
     rate = _number(args.outlier_rate, "outlier-rate", default=0.10)
+    # a classification pool is 3x the net rate, so it fills the set at 1/3
+    top, top_text = (1.0 / 3.0, "1/3") if task == CLASSIFICATION else (1.0, "1")
+    if not 0.0 <= rate <= top:
+        raise InvalidInputError(
+            f"--outlier-rate must be in [0, {top_text}] for {task}, got {rate!r}")
     as_csv = _csv_format(args)
-    seed = _number(args.seed, "seed", int, 0)
+    seed = _seed(args)
     workers = _workers()
+    metric = "accuracy" if task == CLASSIFICATION else "rmse"
     methods = [m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()]
     for name in methods:
         if name not in METHODS:
@@ -401,7 +415,7 @@ def run_bench(args) -> int:
             elapsed = time.perf_counter() - t0
             ev = evaluate(model, test_set)
             out[name] = {
-                "metric": ev.accuracy if task == CLASSIFICATION else ev.rmse,
+                metric: getattr(ev, metric),
                 "time_s": elapsed,
                 "iterations": report.iterations,
                 "n_sv": model.n_sv,
@@ -411,26 +425,14 @@ def run_bench(args) -> int:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         trials = list(pool.map(one_trial, range(repeats)))
 
-    metric = "accuracy" if task == CLASSIFICATION else "rmse"
     rows = []
     for name in sorted(methods):
-        series = {key: np.array([out[name][key] for out in trials])
-                  for key in ("metric", "time_s", "iterations", "n_sv")}
-        rows.append({
-            "method": name,
-            "mlambda": config.lambda_m,
-            "sigma": spec.sigma,
-            "tau": config.tau,
-            "repeats": repeats,
-            f"{metric}_mean": float(series["metric"].mean()),
-            f"{metric}_std": float(series["metric"].std()),
-            "time_s_mean": float(series["time_s"].mean()),
-            "time_s_std": float(series["time_s"].std()),
-            "iterations_mean": float(series["iterations"].mean()),
-            "iterations_std": float(series["iterations"].std()),
-            "n_sv_mean": float(series["n_sv"].mean()),
-            "n_sv_std": float(series["n_sv"].std()),
-        })
+        row = {"method": name, "mlambda": config.lambda_m, "sigma": spec.sigma,
+               "tau": config.tau, "repeats": repeats}
+        for key in (metric, "time_s", "iterations", "n_sv"):
+            series = np.array([out[name][key] for out in trials])
+            row[f"{key}_mean"], row[f"{key}_std"] = float(series.mean()), float(series.std())
+        rows.append(row)
 
     if as_csv:
         with open(args.out, "w", newline="") as fh:

@@ -179,6 +179,11 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     return train, test
 
 
+def _check_fraction(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise InvalidInputError(f"{name} must be in [0, 1], got {value!r}")
+
+
 def inject_label_outliers(dataset: Dataset, rate_pool: float = 0.30,
                           flip_fraction: float = 1.0 / 3.0, *,
                           reference, seed: int) -> tuple[Dataset, list[int]]:
@@ -190,6 +195,8 @@ def inject_label_outliers(dataset: Dataset, rate_pool: float = 0.30,
     """
     if dataset.task != CLASSIFICATION:
         raise InvalidInputError("label outliers require a classification dataset")
+    _check_fraction("rate_pool", rate_pool)
+    _check_fraction("flip_fraction", flip_fraction)
     from .model import predict_raw
 
     scores = np.abs(predict_raw(reference, dataset.features))
@@ -212,6 +219,7 @@ def inject_target_noise(dataset: Dataset, rate: float = 0.10, *,
     with d = half the mean target (mean-absolute fallback when that is 0)."""
     if dataset.task != REGRESSION:
         raise InvalidInputError("target noise requires a regression dataset")
+    _check_fraction("rate", rate)
     meta = {**dataset.meta}
     d = 0.5 * float(dataset.targets.mean())
     if d == 0.0:

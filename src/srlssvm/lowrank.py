@@ -59,7 +59,9 @@ def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int) -> LowRankFactor
 
     Stops after r pivots, or earlier once the largest residual diagonal
     drops to ``STOP_TOL_PER_ROW * m``.  Exactly |B| kernel columns are
-    evaluated.
+    evaluated.  A kernel whose diagonal is already below that level (all-zero
+    features under the linear kernel) admits no pivot and raises
+    NumericalError.
     """
     X = np.asarray(getattr(dataset, "features", dataset), dtype=float)
     m = X.shape[0]
@@ -93,7 +95,11 @@ def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int) -> LowRankFactor
         pivots.append(j)
         history.append(float(np.maximum(d, 0.0).sum()))
 
-    P = np.ascontiguousarray(P[:, :len(pivots)])
+    if not pivots:
+        raise NumericalError(
+            f"zero kernel matrix: its largest diagonal entry is at most {tol:.1e}, "
+            "so no landmark can be chosen")
+    P =np.ascontiguousarray(P[:, :len(pivots)])
     return LowRankFactor(
         P=P,
         B=tuple(pivots),

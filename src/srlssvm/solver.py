@@ -11,11 +11,12 @@ reduces to one r x r solve against the fixed matrix
 
     J = m*lambda I_r + P^T P - (P^T e)(P^T e)^T / m,
 
-factored once.  Iterates are tracked through upsilon = P^T alpha; the
-sparse coefficients alpha_B = (P_B^T)^(-1) upsilon over the landmark rows
-are recovered per step, every other coefficient being exactly zero.  With
-gamma = 0 the first step is the plain (non-robust) primal LSSVM solution,
-which therefore serves as the warm start.
+factored once.  Iterates are tracked through upsilon = P^T alpha alone.
+The sparse coefficients alpha_B = (P_B^T)^(-1) upsilon over the landmark
+rows are recovered once, by back-substitution, when the loop ends; every
+other coefficient is exactly zero.  With gamma = 0 the first step is the
+plain (non-robust) primal LSSVM solution, which therefore serves as the
+warm start.
 
 The trainers run their BLAS calls on one thread and restore the caller's
 OpenBLAS thread counts on return: at r up to a few hundred, waking a
@@ -94,11 +95,9 @@ class Precomputed:
     """Per-training constants shared by every CCCP step."""
 
     J: np.ndarray
-    J_cho: tuple
-    G: np.ndarray            # (P_B^T)^(-1) J^(-1)
+    J_cho: tuple             # Cholesky factor of J, the only solve a step needs
     P_hat: np.ndarray        # P^T e
-    alpha_LS: np.ndarray     # plain primal-LSSVM coefficients
-    upsilon_LS: np.ndarray   # J^(-1)(P^T y - mean(y) P_hat)
+    upsilon_LS: np.ndarray   # J^(-1)(P^T y - mean(y) P_hat), the plain primal LSSVM
     factor: LowRankFactor
     y: np.ndarray
 
@@ -108,7 +107,7 @@ class Precomputed:
 
 
 def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
-    """Assemble and factor J, the fast-path matrix G, and the warm start."""
+    """Assemble and factor J, and solve for the warm start."""
     if not (np.isfinite(lambda_m) and lambda_m > 0):
         raise InvalidInputError("lambda_m must be finite and > 0")
     P = factor.P
@@ -131,22 +130,15 @@ def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
             f"J is numerically singular (condition estimate {cond_est:.2e}); "
             "increase the regularization lambda")
 
-    J_inv = cho_solve(J_cho, np.eye(r))
-    # P_B^T is upper triangular, so this back-substitution is O(r^2) per column
-    G = solve_triangular(factor.P_B.T, J_inv, lower=False)
-
-    rhs = P.T @ y - (y.sum() / m) * P_hat
-    upsilon_LS = cho_solve(J_cho, rhs)
-    alpha_LS = G @ rhs
-    return Precomputed(J, J_cho, G, P_hat, alpha_LS, upsilon_LS, factor, y)
+    upsilon_LS = cho_solve(J_cho, P.T @ y - (y.sum() / m) * P_hat)
+    return Precomputed(J, J_cho, P_hat, upsilon_LS, factor, y)
 
 
 @dataclass(frozen=True)
 class CccpStep:
-    """One convex-subproblem solution: compressed and sparse coefficients."""
+    """One convex-subproblem solution in compressed form."""
 
     upsilon: np.ndarray
-    alpha_B: np.ndarray
     b: float
     xi: np.ndarray
     support_size: int  # |S_t| of the gamma that produced this step
@@ -155,9 +147,11 @@ class CccpStep:
 def cccp_step(pre: Precomputed, gamma_t) -> CccpStep:
     """Sparse fast update from the warm start.
 
-    alpha_B = alpha_LS - G (P_S^T gamma_S - (e^T gamma / m) P_hat); only
-    the nonzero entries of gamma touch P, so the correction costs
-    O(|S_t| r) on top of the O(m r) residual refresh.
+    upsilon = upsilon_LS - J^(-1) (P_S^T gamma_S - (e^T gamma / m) P_hat);
+    only the nonzero entries of gamma touch P, so the correction costs
+    O(|S_t| r + r^2) on top of the O(m r) residual refresh.  The sparse
+    coefficients are not formed here: the loop recovers them from the last
+    step's upsilon.
     """
     g = np.asarray(gamma_t, dtype=float)
     P = pre.factor.P
@@ -167,26 +161,19 @@ def cccp_step(pre: Precomputed, gamma_t) -> CccpStep:
     S = np.flatnonzero(np.abs(g) > GAMMA_NONZERO_TOL)
     q = P[S].T @ g[S] - (g.sum() / m) * pre.P_hat
     upsilon = pre.upsilon_LS - cho_solve(pre.J_cho, q)
-    alpha_B = pre.alpha_LS - pre.G @ q
     b = float(((pre.y - g).sum() - pre.P_hat @ upsilon) / m)
     xi = pre.y - P @ upsilon - b
-    return CccpStep(upsilon, alpha_B, b, xi, support_size=len(S))
+    return CccpStep(upsilon, b, xi, support_size=len(S))
 
 
 @dataclass(frozen=True)
 class TrainState:
-    """Solver state after an iteration; ``gamma`` is the refreshed coefficient."""
+    """Solver state after the last iteration; ``gamma`` is the refreshed coefficient."""
 
-    t: int
     gamma: np.ndarray
     xi: np.ndarray
     upsilon: np.ndarray
     b: float
-    support: np.ndarray
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
 
 
 @dataclass
@@ -230,11 +217,6 @@ def _fit(dataset: Dataset, spec: KernelSpec, config: SolverConfig,
     then shrinks tau by delta and goes on, until convergence at tau_min.
     """
     t0 = time.perf_counter()
-    if dataset.m < 1:
-        raise InvalidInputError("dataset is empty")
-    if config.rank_r > dataset.m:
-        raise InvalidInputError(
-            f"rank_r={config.rank_r} exceeds the number of samples m={dataset.m}")
     factor = pivoted_cholesky(dataset, spec, config.rank_r)
     pre = precompute(factor, dataset.targets, config.lambda_m)
     m = pre.m
@@ -280,11 +262,11 @@ def _fit(dataset: Dataset, spec: KernelSpec, config: SolverConfig,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         rank=factor.r,
         tau_schedule=taus if anneal is not None else None,
-        final_state=TrainState(t=len(objectives), gamma=gamma, xi=step.xi,
-                               upsilon=step.upsilon, b=step.b,
-                               support=np.flatnonzero(np.abs(gamma) > GAMMA_NONZERO_TOL)),
+        final_state=TrainState(gamma=gamma, xi=step.xi, upsilon=step.upsilon, b=step.b),
     )
-    model = Model(landmarks=dataset.features[list(factor.B)], alpha=step.alpha_B,
+    # P_B^T is upper triangular, so this back-substitution is O(r^2)
+    alpha_B = solve_triangular(factor.P_B.T, step.upsilon, lower=False)
+    model = Model(landmarks=dataset.features[list(factor.B)], alpha=alpha_B,
                   b=step.b, kernel=spec, task=dataset.task)
     return model, report
 

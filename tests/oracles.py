@@ -11,7 +11,7 @@ into one pass.
 import time
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from srlssvm import InvalidInputError, LossParams, Model, predict_raw
 from srlssvm.kernels import GAUSSIAN, gram
@@ -105,10 +105,9 @@ def cccp_step_direct(pre, gamma_t) -> CccpStep:
     z = pre.y - g
     z = z - z.sum() / m
     upsilon = cho_solve(pre.J_cho, P.T @ z)
-    alpha_B = solve_triangular(pre.factor.P_B.T, upsilon, lower=False)
     b = float(((pre.y - g).sum() - pre.P_hat @ upsilon) / m)
     xi = pre.y - P @ upsilon - b
-    return CccpStep(upsilon, alpha_B, b, xi,
+    return CccpStep(upsilon, b, xi,
                     support_size=int(np.count_nonzero(np.abs(g) > GAMMA_NONZERO_TOL)))
 
 

@@ -451,7 +451,19 @@ def test_gridsearch_report_does_not_depend_on_worker_count(class_files, tmp_path
     ("train", "1e400", [], "lambda_m must be finite"),
     ("gridsearch", "1e-2,inf", [], "lambda_m must be finite"),
     ("train", "1e-2", ["--epsilon", "inf"], "epsilon must be finite"),
-], ids=["train-inf", "train-1e400", "gridsearch-1e-2,inf", "train-epsilon-inf"])
+    ("bench", "1e-2", ["--outlier-rate", "0.5"], "--outlier-rate must be in [0, 1/3]"),
+    ("bench", "1e-2", ["--outlier-rate", "inf"], "--outlier-rate must be in [0, 1/3]"),
+    ("bench", "1e-2", ["--outlier-rate", "nan"], "--outlier-rate must be in [0, 1/3]"),
+    ("bench", "1e-2", ["--outlier-rate", "-0.2"], "--outlier-rate must be in [0, 1/3]"),
+    # the last --task wins: the +-1 labels parse as regression targets
+    ("bench", "1e-2", ["--task", "reg", "--outlier-rate", "1.5"],
+     "--outlier-rate must be in [0, 1]"),
+    ("train", "1e-2", ["--seed", "-1"], "--seed must be a non-negative integer"),
+    ("gridsearch", "1e-2", ["--seed", "-1"], "--seed must be a non-negative integer"),
+    ("bench", "1e-2", ["--seed", "-1"], "--seed must be a non-negative integer"),
+], ids=["train-inf", "train-1e400", "gridsearch-1e-2,inf", "train-epsilon-inf",
+        "bench-rate-0.5", "bench-rate-inf", "bench-rate-nan", "bench-rate--0.2",
+        "bench-reg-rate-1.5", "train-seed--1", "gridsearch-seed--1", "bench-seed--1"])
 def test_non_finite_regularization_is_usage_error(class_files, tmp_path, capsys,
                                                   command, mlambda, extra, message):
     train_path, _ = class_files
@@ -460,6 +472,14 @@ def test_non_finite_regularization_is_usage_error(class_files, tmp_path, capsys,
                    "--tau", "1.5", "--rank", "2", *extra])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_zero_kernel_is_numerical_error(tmp_path, capsys):
+    data = tmp_path / "zeros.txt"
+    data.write_text("1 1:0\n-1 1:0\n" * 5)
+    rc = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), *BASE])
+    assert rc == 4
+    assert "zero kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, values", [("mlambda", "1e-2,inf"), ("tau", "1.5,inf")])

@@ -205,6 +205,17 @@ def test_label_outliers_requires_classification():
         inject_label_outliers(ds, reference=None, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("rate_pool", 1.5), ("rate_pool", -0.1), ("rate_pool", float("nan")),
+    ("flip_fraction", 2.0), ("flip_fraction", float("inf")),
+])
+def test_label_outliers_fractions_must_be_in_unit_interval(name, value):
+    train, _ = make_synthetic_linear(30, 10, 0, seed=1)
+    with pytest.raises(InvalidInputError, match=f"{name} must be in \\[0, 1\\]"):
+        inject_label_outliers(train, reference=reference_model(train), seed=0,
+                              **{name: value})
+
+
 def test_target_noise_counts_and_spread():
     ds = make_synthetic_regression(3000, seed=7, noise=0.0)[0]
     ds = Dataset(ds.features, ds.targets + 2.0, "regression")  # mean ~ 2
@@ -236,6 +247,13 @@ def test_target_noise_zero_mean_fallback():
     ds = Dataset(np.ones((10, 2)), np.r_[np.ones(5), -np.ones(5)], "regression")
     out, _ = inject_target_noise(ds, rate=0.5, seed=1)
     assert out.meta.get("noise_scale_fallback") is True
+
+
+@pytest.mark.parametrize("rate", [1.5, -0.2, float("nan"), float("inf")])
+def test_target_noise_rate_must_be_in_unit_interval(rate):
+    ds = make_synthetic_regression(20, seed=8)[0]
+    with pytest.raises(InvalidInputError, match="rate must be in \\[0, 1\\]"):
+        inject_target_noise(ds, rate=rate, seed=0)
 
 
 def test_target_noise_requires_regression():

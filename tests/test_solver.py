@@ -51,13 +51,13 @@ def separable_blobs(m=60, seed=0):
 # ------------------------------------------------------------- precompute
 
 def test_precompute_constant_column_factor():
-    # P = e: centering annihilates it, leaving J = m*lambda and alpha_LS = 0
+    # P = e: centering annihilates it, leaving J = m*lambda and upsilon_LS = 0
     m, lam = 6, 0.5
     factor = LowRankFactor(P=np.ones((m, 1)), B=(0,), residual_trace=0.0,
                            trace_history=())
     pre = precompute(factor, np.arange(m, dtype=float), lam)
     assert pre.J == pytest.approx(np.array([[lam]]), abs=1e-12)
-    assert pre.alpha_LS == pytest.approx(np.zeros(1), abs=1e-12)
+    assert pre.upsilon_LS == pytest.approx(np.zeros(1), abs=1e-12)
 
 
 def test_precompute_warm_start_matches_dense_lssvm_oracle():
@@ -124,7 +124,6 @@ def test_step_at_zero_gamma_is_warm_start_exactly():
     ds, factor = make_factor(25, 8, seed=1)
     pre = precompute(factor, ds.targets, 1e-2)
     step = cccp_step(pre, np.zeros(25))
-    assert np.array_equal(step.alpha_B, pre.alpha_LS)
     assert np.array_equal(step.upsilon, pre.upsilon_LS)
     assert step.support_size == 0
 
@@ -139,7 +138,6 @@ def test_fast_and_direct_paths_agree():
         g = np.where(rng.uniform(size=m) < 0.3, rng.standard_normal(m), 0.0)
         fast = cccp_step(pre, g)
         direct = cccp_step_direct(pre, g)
-        assert np.abs(fast.alpha_B - direct.alpha_B).max() <= 1e-10
         assert np.abs(fast.upsilon - direct.upsilon).max() <= 1e-10
         assert abs(fast.b - direct.b) <= 1e-10
         assert np.abs(fast.xi - direct.xi).max() <= 1e-10
@@ -161,9 +159,8 @@ def test_step_matches_dense_system_oracle():
     c = y - g
     rhs = P.T @ (c - c.mean() * e)
     ups = np.linalg.solve(J_o, rhs)
-    alpha = np.linalg.solve(factor.P_B.T, ups)
     b = (c.sum() - (P.T @ e) @ ups) / m
-    assert np.abs(step.alpha_B - alpha).max() <= 1e-10
+    assert np.abs(step.upsilon - ups).max() <= 1e-10
     assert abs(step.b - b) <= 1e-10
     np.testing.assert_allclose(step.xi, y - P @ ups - b, atol=1e-10)
 
@@ -196,6 +193,29 @@ def test_train_first_iterate_is_warm_start_same_path():
     baseline, _ = train_lssvm(ds, GAUSS, config)
     assert np.array_equal(model1.alpha, baseline.alpha)
     assert model1.b == baseline.b
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_model_reproduces_final_iterate_at_ill_conditioned_j(seed):
+    # lambda_m = 1e-10 puts J's condition estimate near 1e10, inside the
+    # COND_LIMIT that precompute accepts; the model must still predict its
+    # training rows at the residuals the loop converged on
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (1000, 2))
+    y = np.sin(3.0 * X[:, 0]) + 0.05 * rng.standard_normal(1000)
+    y[:100] += 3.0
+    ds = Dataset(X, y, "regression")
+    config = SolverConfig(lambda_m=1e-10, tau=0.5, rank_r=150)
+    model, report = train(ds, GAUSS, config)
+    gap = predict_raw(model, X) - (y - report.final_state.xi)
+    assert np.abs(gap).max() <= 1e-5
+
+
+def test_zero_kernel_is_numerical_error():
+    ds = Dataset(np.zeros((10, 2)), np.where(np.arange(10) % 2 == 0, 1.0, -1.0),
+                 "classification")
+    with pytest.raises(NumericalError, match="zero kernel"):
+        train(ds, LIN, SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=2))
 
 
 def test_train_outlier_run_downweights_planted_points():

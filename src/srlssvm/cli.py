@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import tomllib
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +24,7 @@ from . import data as data_mod
 from .data import CLASSIFICATION, REGRESSION, Dataset
 from .errors import DataFormatError, InvalidInputError, NumericalError
 from .kernels import GAUSSIAN, LINEAR, KernelSpec
-from .model import evaluate, load, predict_class, predict_raw, save
+from .model import evaluate, load, predict_raw, save
 from .solver import AnnealSchedule, SolverConfig, train, train_lssvm
 
 TASK_ALIASES = {"class": CLASSIFICATION, "reg": REGRESSION,
@@ -52,14 +50,6 @@ def stable_report_bytes(doc) -> bytes:
         return node
 
     return (json.dumps(strip(doc), sort_keys=True, indent=2) + "\n").encode()
-
-
-def _workers() -> int:
-    """Worker threads for gridsearch and bench: SRLSSVM_THREADS, default 1."""
-    value = os.environ.get("SRLSSVM_THREADS", "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise InvalidInputError(f"SRLSSVM_THREADS must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -172,14 +162,14 @@ def _pad_features(dataset: Dataset, width: int) -> Dataset:
 
 
 def _float_list(value, option: str) -> list[float]:
-    """A comma-separated flag, or a --config number or list, as floats."""
+    """A comma-separated flag, or a --config number or list, as sorted distinct floats."""
     if value is None:
         return []
     if isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
     elif not isinstance(value, (list, tuple)):
         value = [value]
-    return [_number(v, option) for v in value]
+    return sorted({_number(v, option) for v in value})
 
 
 def _write_json(path, doc) -> None:
@@ -247,9 +237,9 @@ def run_predict(args) -> int:
         writer = csv.writer(fh)
         if model.task == CLASSIFICATION:
             writer.writerow(["raw", "label"])
-            labels = predict_class(model, dataset.features)
-            for fi, li in zip(f, labels):
-                writer.writerow([repr(float(fi)), int(li)])
+            # predict_class's rule, applied to f instead of a second predict_raw
+            for fi in f:
+                writer.writerow([repr(float(fi)), 1 if fi >= 0 else -1])
         else:
             writer.writerow(["prediction"])
             for fi in f:
@@ -293,13 +283,12 @@ def run_gridsearch(args) -> int:
     folds = _number(args.folds, "folds", int, 5)
     as_csv = _csv_format(args)
     seed = _seed(args)
-    workers = _workers()
     dataset = _read_dataset(args.data, task)
     if folds < 2 or folds > dataset.m:
         raise InvalidInputError(f"--folds must be in [2, m={dataset.m}]")
 
     parts = _fold_parts(dataset.m, folds, seed)
-    usable: list[tuple[np.ndarray, np.ndarray]] = []
+    usable: list[tuple[Dataset, Dataset]] = []  # (train, validation) per fold
     skipped = 0
     for k, part in enumerate(parts):
         train_idx = np.sort(np.concatenate([p for i, p in enumerate(parts) if i != k]))
@@ -308,29 +297,24 @@ def run_gridsearch(args) -> int:
                   file=sys.stderr)
             skipped += 1
             continue
-        usable.append((train_idx, part))
+        usable.append((dataset.take(train_idx), dataset.take(part)))
     if not usable:
         raise InvalidInputError("all cross-validation folds were skipped")
 
-    grid = [(ml, sg, tv) for ml in sorted(mlambdas) for sg in sorted(
-        sigmas, key=lambda s: (s is None, s)) for tv in sorted(taus)]
+    grid = [(ml, sg, tv) for ml in mlambdas for sg in sigmas for tv in taus]
     # every tuple's kernel and config first, so that a bad grid value is a
     # usage error before any fit runs
     setups = [(KernelSpec(family, sg) if family == GAUSSIAN else KernelSpec(LINEAR),
                _solver_config(args, tau=tv, mlambda=ml)) for ml, sg, tv in grid]
 
-    def score(setup):
-        spec, config = setup
+    results = []
+    for entry, (spec, config) in zip(grid, setups):
         scores = []
-        for train_idx, val_idx in usable:
-            model, _ = train(dataset.take(train_idx), spec, config)
-            ev = evaluate(model, dataset.take(val_idx))
+        for fold_train, fold_val in usable:
+            model, _ = train(fold_train, spec, config)
+            ev = evaluate(model, fold_val)
             scores.append(ev.accuracy if task == CLASSIFICATION else ev.rmse)
-        return float(np.mean(scores)), float(np.std(scores))
-
-    # pool.map keeps the grid's order, which is the report's
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = [(entry, *stats) for entry, stats in zip(grid, pool.map(score, setups))]
+        results.append((entry, float(np.mean(scores)), float(np.std(scores))))
 
     sign = 1.0 if task == CLASSIFICATION else -1.0
     # best score first; ties prefer larger mlambda, smaller sigma, larger tau
@@ -360,7 +344,7 @@ def run_gridsearch(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-METHODS = {"srlssvm": train, "lssvm": train_lssvm}
+METHODS = ("lssvm", "srlssvm")
 
 
 def run_bench(args) -> int:
@@ -379,12 +363,12 @@ def run_bench(args) -> int:
             f"--outlier-rate must be in [0, {top_text}] for {task}, got {rate!r}")
     as_csv = _csv_format(args)
     seed = _seed(args)
-    workers = _workers()
     metric = "accuracy" if task == CLASSIFICATION else "rmse"
-    methods = [m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()]
+    methods = list(dict.fromkeys(
+        m.strip() for m in str(args.methods or "srlssvm").split(",") if m.strip()))
     for name in methods:
         if name not in METHODS:
-            raise InvalidInputError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
+            raise InvalidInputError(f"unknown method {name!r}; choose from {list(METHODS)}")
 
     clean_train = _read_dataset(args.data, task)
     if args.test:
@@ -396,8 +380,8 @@ def run_bench(args) -> int:
     if task == CLASSIFICATION and rate > 0:
         reference, _ = train_lssvm(clean_train, spec, config)
 
-    def one_trial(rep: int):
-        trial_seed = seed + rep
+    trials = []
+    for trial_seed in range(seed, seed + repeats):
         if rate > 0:
             if task == CLASSIFICATION:
                 corrupted, _ = data_mod.inject_label_outliers(
@@ -410,8 +394,10 @@ def run_bench(args) -> int:
             corrupted = clean_train
         out = {}
         for name in methods:
+            # this module's train, as in gridsearch, so a wrapper on cli.train sees it
+            fit = train if name == "srlssvm" else train_lssvm
             t0 = time.perf_counter()
-            model, report = METHODS[name](corrupted, spec, config)
+            model, report = fit(corrupted, spec, config)
             elapsed = time.perf_counter() - t0
             ev = evaluate(model, test_set)
             out[name] = {
@@ -420,10 +406,7 @@ def run_bench(args) -> int:
                 "iterations": report.iterations,
                 "n_sv": model.n_sv,
             }
-        return out
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        trials = list(pool.map(one_trial, range(repeats)))
+        trials.append(out)
 
     rows = []
     for name in sorted(methods):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -84,10 +85,10 @@ class SolverConfig:
             raise InvalidInputError("p must be finite and > 0")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidInputError("epsilon must be finite and > 0")
-        if self.rank_r < 1:
-            raise InvalidInputError("rank_r must be a positive integer")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be a positive integer")
+        for name in ("rank_r", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

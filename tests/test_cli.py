@@ -1,12 +1,14 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import srlssvm.cli as cli
+import srlssvm.model as model_mod
 from srlssvm import NumericalError, make_synthetic_linear, make_synthetic_regression
-from srlssvm.data import save_sparse_text
+from srlssvm.data import parse_sparse_text, save_sparse_text
 
 
 @pytest.fixture
@@ -278,7 +280,7 @@ def test_stable_report_bytes_strips_volatile_fields():
     assert cli.stable_report_bytes(a) != cli.stable_report_bytes(c)
 
 
-def test_gridsearch_tie_break_prefers_larger_tau(tmp_path, monkeypatch):
+def test_gridsearch_tie_break_prefers_larger_tau(tmp_path):
     # far-separated blobs: no residual exceeds either tau, so both tuples
     # score identically and the tie rule picks the larger tau
     from srlssvm import Dataset
@@ -289,7 +291,6 @@ def test_gridsearch_tie_break_prefers_larger_tau(tmp_path, monkeypatch):
     path = tmp_path / "sep.txt"
     save_sparse_text(Dataset(X, y, "classification"), path)
     out = tmp_path / "grid.json"
-    monkeypatch.setenv("SRLSSVM_THREADS", "2")  # exercise the worker pool too
     rc = cli.main(["gridsearch", "--data", str(path), "--task", "class",
                    "--kernel", "linear", "--mlambda", "1e-2",
                    "--tau", "50,60", "--rank", "2", "--folds", "3",
@@ -414,36 +415,80 @@ def test_unknown_format_is_usage_error(class_files, tmp_path, capsys, command, v
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gridsearch", "bench"])
-@pytest.mark.parametrize("value", ["two", "0", "-3"])
-def test_srlssvm_threads_must_be_a_positive_integer(class_files, tmp_path, capsys,
-                                                     monkeypatch, command, value):
+def test_gridsearch_report_lists_grid_sorted(class_files, tmp_path):
+    # grids given out of order: the report lists them sorted
     train_path, _ = class_files
-    monkeypatch.setenv("SRLSSVM_THREADS", value)
-    rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
-                   *BASE])
-    assert rc == 2
-    assert "SRLSSVM_THREADS" in capsys.readouterr().err
-
-
-def test_gridsearch_report_does_not_depend_on_worker_count(class_files, tmp_path,
-                                                           monkeypatch):
-    # grids given out of order: the report lists them sorted either way
-    train_path, _ = class_files
-    reports = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SRLSSVM_THREADS", workers)
-        out = tmp_path / f"grid_{workers}.json"
-        rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
-                       "--kernel", "gaussian", "--sigma", "1.0,0.25,0.5",
-                       "--mlambda", "1e-2,1e-3", "--tau", "1.5,0.5", "--rank", "10",
-                       "--folds", "5", "--seed", "0", "--out", str(out)])
-        assert rc == 0
-        reports.append(cli.stable_report_bytes(out))
-    assert reports[0] == reports[1]
-    rows = json.loads(reports[0])["grid"]
+    out = tmp_path / "grid.json"
+    rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
+                   "--kernel", "gaussian", "--sigma", "1.0,0.25,0.5",
+                   "--mlambda", "1e-2,1e-3", "--tau", "1.5,0.5", "--rank", "10",
+                   "--folds", "5", "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text())["grid"]
     tuples = [(row["mlambda"], row["sigma"], row["tau"]) for row in rows]
+    assert len(tuples) == 12
     assert tuples == sorted(tuples)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("gridsearch", ["--folds", "3", "--tau", "1.5,0.5"]),
+    ("bench", ["--repeats", "2", "--methods", "srlssvm,lssvm"]),
+])
+def test_fits_run_in_the_calling_thread(class_files, tmp_path, monkeypatch, command, extra):
+    train_path, _ = class_files
+    threads = []
+    train = cli.train
+    monkeypatch.setattr(cli, "train",
+                        lambda *args: threads.append(threading.current_thread()) or train(*args))
+    rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
+                   *BASE, *extra])
+    assert rc == 0
+    assert len(threads) == (6 if command == "gridsearch" else 2)
+    assert all(t is threading.main_thread() for t in threads)
+
+
+# bench fits one more model, the clean-data reference for the label outliers
+@pytest.mark.parametrize("command, extra, rows, n_fits", [
+    ("gridsearch", ["--mlambda", "1e-2,1e-2", "--tau", "1.5,1.5", "--folds", "3"], 1, 3),
+    ("bench", ["--repeats", "1", "--methods", "lssvm,srlssvm,lssvm"], 2, 3),
+])
+def test_repeated_grid_values_and_methods_fit_once(class_files, tmp_path, monkeypatch,
+                                                   command, extra, rows, n_fits):
+    train_path, _ = class_files
+    fits = []
+    for name in ("train", "train_lssvm"):
+        fit = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, fit=fit: fits.append(1) or fit(*args))
+    out = tmp_path / "out.json"
+    rc = cli.main([command, "--data", train_path, "--out", str(out), *BASE, *extra])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["grid" if command == "gridsearch" else "rows"]) == rows
+    assert len(fits) == n_fits
+
+
+def test_predict_evaluates_the_model_once(class_files, tmp_path, monkeypatch):
+    train_path, test_path = class_files
+    model_path = tmp_path / "model.json"
+    assert cli.main(["train", "--data", train_path, "--out", str(model_path),
+                     *BASE]) == 0
+    # predict_class looks predict_raw up in the model module, cli in its own
+    calls = []
+    predict_raw = cli.predict_raw
+    for owner in (cli, model_mod):
+        monkeypatch.setattr(owner, "predict_raw",
+                            lambda *args: calls.append(1) or predict_raw(*args))
+    preds = tmp_path / "preds.csv"
+    assert cli.main(["predict", "--model", str(model_path), "--data", test_path,
+                     "--out", str(preds)]) == 0
+    assert len(calls) == 1
+    model = model_mod.load(model_path)
+    X = parse_sparse_text(test_path).features
+    with open(preds) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["raw", "label"]
+    assert rows[1:] == [[repr(float(f)), str(label)] for f, label in
+                        zip(predict_raw(model, X), model_mod.predict_class(model, X))]
 
 
 @pytest.mark.parametrize("command, mlambda, extra, message", [

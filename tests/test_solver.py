@@ -118,6 +118,16 @@ def test_config_requires_finite_values(name, value):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("rank_r", 2.5), ("rank_r", True), ("rank_r", "3"),
+    ("max_iter", 2.5), ("max_iter", math.inf), ("max_iter", True),
+])
+def test_config_requires_positive_integer_counts(name, value):
+    kwargs = {"lambda_m": 1e-2, "tau": 1.5, "rank_r": 2, name: value}
+    with pytest.raises(InvalidInputError, match=f"{name} must be a positive integer"):
+        SolverConfig(**kwargs)
+
+
 # -------------------------------------------------------------- cccp_step
 
 def test_step_at_zero_gamma_is_warm_start_exactly():

@@ -35,6 +35,7 @@ from .solver import (
     precompute,
     train,
     train_lssvm,
+    train_many,
 )
 
 __version__ = "0.1.0"
@@ -74,4 +75,5 @@ __all__ = [
     "split",
     "train",
     "train_lssvm",
+    "train_many",
 ]

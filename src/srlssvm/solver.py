@@ -207,69 +207,84 @@ class TrainReport:
 
 
 @one_blas_thread()
-def _fit(dataset: Dataset, spec: KernelSpec, config: SolverConfig,
-         robust: bool) -> tuple[Model, TrainReport]:
-    """The CCCP loop every trainer runs.
+def _fit(dataset: Dataset, spec: KernelSpec, configs: list[SolverConfig],
+         robust: bool) -> list[tuple[Model, TrainReport]]:
+    """The CCCP loop every trainer runs, once per config.
 
-    The gamma = 0 step is the plain primal LSSVM and the loop's first
-    iterate.  A plain fit stops there and ignores ``config.anneal``.  A
-    robust fit refreshes gamma from the residuals and iterates until the
-    gamma change drops below epsilon or max_iter is hit; with a schedule it
-    then shrinks tau by delta and goes on, until convergence at tau_min.
+    The factor is built once for all of ``configs``, which share rank_r.
+    ``precompute`` and the gamma = 0 step run once per distinct lambda_m:
+    that step is the plain primal LSSVM and the loop's first iterate, and
+    it does not depend on tau.  A plain fit stops there and ignores
+    ``config.anneal``.  A robust fit refreshes gamma from the residuals and
+    iterates until the gamma change drops below epsilon or max_iter is hit;
+    with a schedule it then shrinks tau by delta and goes on, until
+    convergence at tau_min.
+
+    Each report's wall time runs from the end of the previous config's
+    model (the call's start for the first), so it covers the shared work
+    its config was first to need, and the times sum to the call's.
     """
     t0 = time.perf_counter()
-    factor = pivoted_cholesky(dataset, spec, config.rank_r)
-    pre = precompute(factor, dataset.targets, config.lambda_m)
-    m = pre.m
-    gamma = np.zeros(m)
-    step = cccp_step(pre, gamma)
-    anneal = config.anneal if robust else None
-    tau = config.tau if anneal is None else max(
-        anneal.delta * float(np.abs(step.xi).max()), anneal.tau_min)
-    params = losses.LossParams(tau=tau, p=config.p)
-    changes: list[float] = []
-    objectives: list[float] = []
-    supports: list[int] = []
-    taus: list[float] = []
-    converged = not robust
+    factor = pivoted_cholesky(dataset, spec, configs[0].rank_r)
+    m = factor.m
+    warm: dict[float, tuple[Precomputed, CccpStep]] = {}
+    results = []
+    for config in configs:
+        if config.lambda_m not in warm:
+            pre = precompute(factor, dataset.targets, config.lambda_m)
+            warm[config.lambda_m] = (pre, cccp_step(pre, np.zeros(m)))
+        pre, step = warm[config.lambda_m]
+        gamma = np.zeros(m)
+        anneal = config.anneal if robust else None
+        tau = config.tau if anneal is None else max(
+            anneal.delta * float(np.abs(step.xi).max()), anneal.tau_min)
+        params = losses.LossParams(tau=tau, p=config.p)
+        changes: list[float] = []
+        objectives: list[float] = []
+        supports: list[int] = []
+        taus: list[float] = []
+        converged = not robust
 
-    while True:
-        gamma_next, loss = losses.gamma(step.xi, params)
-        # (lambda/2) ||upsilon||^2 + mean smoothed truncated loss, lambda = lambda_m / m
-        objectives.append(config.lambda_m / (2.0 * m) * float(step.upsilon @ step.upsilon)
-                          + float(np.mean(loss)))
-        supports.append(step.support_size)
-        taus.append(tau)
-        if not robust:
-            break
-        changes.append(float(np.linalg.norm(gamma_next - gamma)))
-        gamma = gamma_next
-        if changes[-1] < config.epsilon:
-            if anneal is None or tau <= anneal.tau_min:
-                converged = True
+        while True:
+            gamma_next, loss = losses.gamma(step.xi, params)
+            # (lambda/2) ||upsilon||^2 + mean smoothed truncated loss, lambda = lambda_m / m
+            objectives.append(config.lambda_m / (2.0 * m) * float(step.upsilon @ step.upsilon)
+                              + float(np.mean(loss)))
+            supports.append(step.support_size)
+            taus.append(tau)
+            if not robust:
                 break
-            tau = max(tau * anneal.delta, anneal.tau_min)
-            params = losses.LossParams(tau=tau, p=config.p)
-        if len(changes) == config.max_iter:
-            break
-        step = cccp_step(pre, gamma)
+            changes.append(float(np.linalg.norm(gamma_next - gamma)))
+            gamma = gamma_next
+            if changes[-1] < config.epsilon:
+                if anneal is None or tau <= anneal.tau_min:
+                    converged = True
+                    break
+                tau = max(tau * anneal.delta, anneal.tau_min)
+                params = losses.LossParams(tau=tau, p=config.p)
+            if len(changes) == config.max_iter:
+                break
+            step = cccp_step(pre, gamma)
 
-    report = TrainReport(
-        iterations=len(objectives),
-        converged=converged,
-        gamma_change=changes,
-        objective=objectives,
-        support_sizes=supports,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        rank=factor.r,
-        tau_schedule=taus if anneal is not None else None,
-        final_state=TrainState(gamma=gamma, xi=step.xi, upsilon=step.upsilon, b=step.b),
-    )
-    # P_B^T is upper triangular, so this back-substitution is O(r^2)
-    alpha_B = solve_triangular(factor.P_B.T, step.upsilon, lower=False)
-    model = Model(landmarks=dataset.features[list(factor.B)], alpha=alpha_B,
-                  b=step.b, kernel=spec, task=dataset.task)
-    return model, report
+        # P_B^T is upper triangular, so this back-substitution is O(r^2)
+        alpha_B = solve_triangular(factor.P_B.T, step.upsilon, lower=False)
+        model = Model(landmarks=dataset.features[list(factor.B)], alpha=alpha_B,
+                      b=step.b, kernel=spec, task=dataset.task)
+        t1 = time.perf_counter()
+        report = TrainReport(
+            iterations=len(objectives),
+            converged=converged,
+            gamma_change=changes,
+            objective=objectives,
+            support_sizes=supports,
+            wall_time_ms=(t1 - t0) * 1e3,
+            rank=factor.r,
+            tau_schedule=taus if anneal is not None else None,
+            final_state=TrainState(gamma=gamma, xi=step.xi, upsilon=step.upsilon, b=step.b),
+        )
+        t0 = t1
+        results.append((model, report))
+    return results
 
 
 def train(dataset: Dataset, spec: KernelSpec,
@@ -283,7 +298,30 @@ def train(dataset: Dataset, spec: KernelSpec,
     loop converges, until it reaches tau_min.  The model carries at most
     rank_r nonzero coefficients by construction.
     """
-    return _fit(dataset, spec, config, robust=True)
+    return _fit(dataset, spec, [config], robust=True)[0]
+
+
+def train_many(dataset: Dataset, spec: KernelSpec,
+               configs) -> list[tuple[Model, TrainReport]]:
+    """Robust training of one model per config on one dataset and kernel.
+
+    Every fit equals ``train(dataset, spec, config)`` bit for bit, but the
+    configs share work: the pivoted-Cholesky factor is built once, since it
+    depends only on the rows, the kernel and rank_r, and ``precompute`` and
+    the gamma = 0 warm start run once per distinct lambda_m, since they do
+    not depend on tau.  Returns one ``(model, report)`` per config, in
+    order; each model has its own copy of the landmark rows.  A report's
+    ``wall_time_ms`` covers its own CCCP loop plus the shared work it was
+    the first config to need, so the times of one call sum to its wall
+    time.  An empty list, or configs whose rank_r differ, is an
+    ``InvalidInputError``.
+    """
+    configs = list(configs)
+    if not configs:
+        raise InvalidInputError("train_many needs at least one config")
+    if len({config.rank_r for config in configs}) > 1:
+        raise InvalidInputError("train_many configs must share rank_r")
+    return _fit(dataset, spec, configs, robust=True)
 
 
 # Kept only because the benchmark still calls it.  A plain alias, not a
@@ -300,4 +338,4 @@ def train_lssvm(dataset: Dataset, spec: KernelSpec,
     ``config.tau``; ``config.anneal`` is ignored.  Used as the robustness
     baseline.
     """
-    return _fit(dataset, spec, config, robust=False)
+    return _fit(dataset, spec, [config], robust=False)[0]

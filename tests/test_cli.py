@@ -7,6 +7,7 @@ import pytest
 
 import srlssvm.cli as cli
 import srlssvm.model as model_mod
+import srlssvm.solver as solver_mod
 from srlssvm import NumericalError, make_synthetic_linear, make_synthetic_regression
 from srlssvm.data import parse_sparse_text, save_sparse_text
 
@@ -436,10 +437,12 @@ def test_gridsearch_report_lists_grid_sorted(class_files, tmp_path):
 ])
 def test_fits_run_in_the_calling_thread(class_files, tmp_path, monkeypatch, command, extra):
     train_path, _ = class_files
-    threads = []
-    train = cli.train
+    threads = []  # one entry per fit
+    train, train_many = cli.train, cli.train_many
     monkeypatch.setattr(cli, "train",
                         lambda *args: threads.append(threading.current_thread()) or train(*args))
+    monkeypatch.setattr(cli, "train_many", lambda ds, spec, configs: threads.extend(
+        [threading.current_thread()] * len(configs)) or train_many(ds, spec, configs))
     rc = cli.main([command, "--data", train_path, "--out", str(tmp_path / "out.json"),
                    *BASE, *extra])
     assert rc == 0
@@ -459,12 +462,51 @@ def test_repeated_grid_values_and_methods_fit_once(class_files, tmp_path, monkey
     for name in ("train", "train_lssvm"):
         fit = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *args, fit=fit: fits.append(1) or fit(*args))
+    train_many = cli.train_many
+    monkeypatch.setattr(cli, "train_many", lambda ds, spec, configs: fits.extend(
+        [1] * len(configs)) or train_many(ds, spec, configs))
     out = tmp_path / "out.json"
     rc = cli.main([command, "--data", train_path, "--out", str(out), *BASE, *extra])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert len(doc["grid" if command == "gridsearch" else "rows"]) == rows
     assert len(fits) == n_fits
+
+
+def test_gridsearch_factors_once_per_fold_and_sigma(class_files, tmp_path, monkeypatch):
+    # the factor depends on (fold, sigma) and the warm start on (fold, sigma,
+    # mlambda), so neither is rebuilt for another tau
+    train_path, _ = class_files
+    calls = {"pivoted_cholesky": 0, "precompute": 0}
+    for name in calls:
+        real = getattr(solver_mod, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver_mod, name, counting)
+    out = tmp_path / "grid.json"
+    rc = cli.main(["gridsearch", "--data", train_path, "--task", "class",
+                   "--kernel", "gaussian", "--sigma", "0.5,1.0", "--mlambda", "1e-2,1e-1",
+                   "--tau", "0.5,1.5", "--rank", "5", "--folds", "3", "--seed", "0",
+                   "--out", str(out)])
+    assert rc == 0
+    folds_used = json.loads(out.read_text())["folds_used"]
+    assert folds_used == 3
+    assert calls == {"pivoted_cholesky": folds_used * 2, "precompute": folds_used * 2 * 2}
+
+
+def test_bench_json_report_is_stable_across_runs(class_files, tmp_path):
+    train_path, test_path = class_files
+    outs = [tmp_path / f"bench_{tag}.json" for tag in ("a", "b")]
+    for out in outs:
+        assert cli.main(["bench", "--data", train_path, "--test", test_path,
+                         "--repeats", "2", "--methods", "srlssvm,lssvm",
+                         "--out", str(out), *BASE]) == 0
+    assert cli.stable_report_bytes(outs[0]) == cli.stable_report_bytes(outs[1])
+    for row in json.loads(outs[0].read_text())["rows"]:
+        assert set(row["timing"]) == {"time_s_mean", "time_s_std"}
+        assert not any(key.startswith("time_s") for key in row)
 
 
 def test_predict_evaluates_the_model_once(class_files, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -286,6 +287,51 @@ def test_train_deterministic():
     m2, r2 = train(ds, GAUSS, config)
     assert np.array_equal(m1.alpha, m2.alpha) and m1.b == m2.b
     assert r1.gamma_change == r2.gamma_change
+
+
+def test_train_many_matches_one_train_per_config(monkeypatch):
+    train_ds, _ = make_synthetic_linear(80, 10, 4, seed=3)
+    schedule = AnnealSchedule(delta=0.8, tau_min=0.5)
+    configs = [SolverConfig(lambda_m=ml, tau=tau, rank_r=6)
+               for ml in (1e-2, 1e-1) for tau in (0.5, 1.5)]
+    configs.append(SolverConfig(lambda_m=1e-2, tau=1.5, rank_r=6, anneal=schedule))
+    singles = [train(train_ds, GAUSS, config) for config in configs]
+
+    calls = {"pivoted_cholesky": 0, "precompute": 0}
+    for name in calls:
+        real = getattr(solver, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(solver, name, counting)
+    t0 = time.perf_counter()
+    fits = solver.train_many(train_ds, GAUSS, configs)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    assert calls == {"pivoted_cholesky": 1, "precompute": 2}
+    # each report times its own share of the call, so together they cover it
+    assert 0 < sum(report.wall_time_ms for _, report in fits) <= elapsed_ms
+
+    assert len(fits) == len(configs)
+    for (model, report), (single, single_report) in zip(fits, singles):
+        assert model.alpha.tobytes() == single.alpha.tobytes()
+        assert model.b == single.b
+        assert model.landmarks.tobytes() == single.landmarks.tobytes()
+        got, want = report.as_dict(), single_report.as_dict()
+        del got["timing"], want["timing"]
+        assert got == want
+    assert fits[-1][1].tau_schedule is not None  # the annealed config did anneal
+    landmarks = [model.landmarks for model, _ in fits]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(landmarks)
+                   for b in landmarks[i + 1:])
+
+
+@pytest.mark.parametrize("ranks", [(), (4, 5)], ids=["empty", "mixed-rank"])
+def test_train_many_rejects_bad_config_lists(ranks):
+    ds, _ = make_factor(20, 5, seed=9)
+    configs = [SolverConfig(lambda_m=1e-2, tau=0.5, rank_r=r) for r in ranks]
+    with pytest.raises(InvalidInputError, match="train_many"):
+        solver.train_many(ds, GAUSS, configs)
 
 
 @pytest.mark.parametrize("m, r", [(4000, 64), (10000, 128)])

@@ -2,12 +2,16 @@
 
 :func:`gram` is the one routine that evaluates kernel blocks k(X_i, Z_j):
 O(n r l) time and O(n r) memory for n x l queries against r x l points,
-with no (n, r, l) intermediate.  The training pipeline touches the kernel
-matrix only through :func:`kernel_column`, which is one column of
-:func:`gram`, and :func:`kernel_diag`, so at most r columns plus the
-diagonal are ever materialized.  Prediction evaluates queries against the
-landmarks with :func:`gram`; the training loop never calls it on the full
-m x m matrix.
+with no (n, r, l) intermediate.  Prediction evaluates queries against the
+landmarks with it.
+
+The training pipeline touches the kernel matrix only through
+:func:`kernel_column` and :func:`kernel_diag`, so at most r columns plus
+the diagonal are ever materialized.  A column is one GEMV on rows that
+:func:`prepare_rows` readies once per factor: for the gaussian family
+they are centered at their column mean, which leaves distances unchanged,
+and their squared norms are cached.  The training loop never evaluates
+the full m x m matrix.
 
 All functions are pure and safe for concurrent use.
 """
@@ -55,13 +59,63 @@ def _features(dataset_or_array) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
-def kernel_column(spec: KernelSpec, dataset, j: int) -> np.ndarray:
-    """Column j of the kernel matrix, i.e. k(x_i, x_j) for all rows i."""
+@dataclass(frozen=True)
+class PreparedRows:
+    """Rows ready for :func:`kernel_column`, built by :func:`prepare_rows`.
+
+    For the gaussian family ``rows`` are the rows centered at their column
+    mean and ``sq_norms`` their squared norms; for the linear family
+    ``rows`` are the rows as given and ``sq_norms`` is None.
+    """
+
+    family: str
+    rows: np.ndarray
+    sq_norms: np.ndarray | None
+
+
+def prepare_rows(spec: KernelSpec, dataset) -> PreparedRows:
+    """Ready a Dataset or an (m, l) array for repeated kernel columns.
+
+    O(m l) once, so that each column costs one GEMV plus O(m).
+    """
     X = _features(dataset)
+    if spec.family == LINEAR:
+        return PreparedRows(LINEAR, X, None)
+    Xc = X - X.mean(axis=0)
+    return PreparedRows(GAUSSIAN, Xc, np.einsum("ij,ij->i", Xc, Xc))
+
+
+def kernel_column(spec: KernelSpec, dataset, j: int) -> np.ndarray:
+    """Column j of the kernel matrix, i.e. k(x_i, x_j) for all rows i.
+
+    ``dataset`` is a Dataset, an (m, l) array, or :class:`PreparedRows`
+    from :func:`prepare_rows`; anything but prepared rows is prepared on
+    the spot.  The gaussian column takes the squared distance as
+    2 (g_j - g_i) + (n_i - n_j), with g = Xc @ Xc[j] and n the cached
+    norms, so the own entry's distance is exactly 0 and its value exactly
+    1.  Rounding can leave a tiny negative squared distance elsewhere; it
+    is clamped to 0.  Returns a new array the caller may overwrite.
+    """
+    prepared = dataset if isinstance(dataset, PreparedRows) else prepare_rows(spec, dataset)
+    if prepared.family != spec.family:
+        raise InvalidInputError(
+            f"kernel_column: rows prepared for {prepared.family!r}, "
+            f"kernel is {spec.family!r}")
+    X = prepared.rows
     m = X.shape[0]
     if not 0 <= j < m:
         raise InvalidInputError(f"kernel_column: index {j} out of range [0, {m})")
-    return gram(spec, X, X[j:j + 1])[:, 0]
+    g = X @ X[j]
+    if spec.family == LINEAR:
+        return g
+    n = prepared.sq_norms
+    d2 = n - n[j]
+    np.subtract(g[j], g, out=g)
+    g *= 2.0
+    d2 += g
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -spec.sigma
+    return np.exp(d2, out=d2)
 
 
 def kernel_diag(spec: KernelSpec, dataset) -> np.ndarray:

@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# exp(-x) rounds to exactly 0 for x above about 745.13, and log1p(0) is 0
+EXP_UNDERFLOW = 746.0
+
 
 @dataclass(frozen=True)
 class LossParams:
@@ -44,11 +47,18 @@ def gamma(xi, params: LossParams):
     ~0 for inliers and ~xi for outliers, and loss = xi^2 / 2 - smoothed
     L_2, both from one e = exp(-p|u|).  For u < 0, exp(p u) is e itself,
     and the exponent is never positive, so p = 1e4 cannot overflow.
+    ``exp`` and ``log1p`` run only on samples with p|u| below
+    ``EXP_UNDERFLOW``; everywhere else both are exactly 0 anyway.
     """
     xi = np.asarray(xi, dtype=float)
     u = xi * xi - params.tau * params.tau
     p = params.p
-    e = np.exp(-p * np.abs(u))
+    a = -p * np.abs(u)
+    near = a > -EXP_UNDERFLOW
+    e = np.zeros_like(u)
+    np.exp(a, out=e, where=near)
     coeff = xi * np.where(u < 0, e, 1.0) / (1.0 + e)
-    loss = 0.5 * xi * xi - (0.5 * np.maximum(0.0, u) + np.log1p(e) / (2.0 * p))
+    soft = np.zeros_like(u)
+    np.log1p(e, out=soft, where=near)
+    loss = 0.5 * xi * xi - (0.5 * np.maximum(0.0, u) + soft / (2.0 * p))
     return coeff, loss

@@ -95,7 +95,6 @@ class SolverConfig:
 class Precomputed:
     """Per-training constants shared by every CCCP step."""
 
-    J: np.ndarray
     J_cho: tuple             # Cholesky factor of J, the only solve a step needs
     P_hat: np.ndarray        # P^T e
     upsilon_LS: np.ndarray   # J^(-1)(P^T y - mean(y) P_hat), the plain primal LSSVM
@@ -132,7 +131,7 @@ def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
             "increase the regularization lambda")
 
     upsilon_LS = cho_solve(J_cho, P.T @ y - (y.sum() / m) * P_hat)
-    return Precomputed(J, J_cho, P_hat, upsilon_LS, factor, y)
+    return Precomputed(J_cho, P_hat, upsilon_LS, factor, y)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from srlssvm import InvalidInputError, KernelSpec, kernel_column, kernel_diag
-from srlssvm.kernels import gram
+from srlssvm import InvalidInputError, KernelSpec, kernel_column, kernel_diag, pivoted_cholesky
+from srlssvm.kernels import gram, prepare_rows
 
 from conftest import dense_kernel_oracle, random_dataset
 from oracles import kernel_eval
@@ -65,16 +65,55 @@ def test_column_matches_dense_oracle():
     for spec in (GAUSS, LIN):
         K = dense_kernel_oracle(spec, X)
         for j in range(3):
-            col = kernel_column(spec, ds, j)
-            # a column is gram's, computed by the same routine
-            assert np.array_equal(col, gram(spec, X, X[j:j + 1])[:, 0])
-            np.testing.assert_allclose(col, K[j], atol=1e-12)
+            np.testing.assert_allclose(kernel_column(spec, ds, j), K[j], atol=1e-12)
+            np.testing.assert_allclose(kernel_column(spec, prepare_rows(spec, ds), j),
+                                       K[j], atol=1e-12)
 
 
 def test_column_self_entry_is_exactly_one():
     X = 100.0 * random_dataset(50, 7, seed=5).features + 1e3
+    prepared = prepare_rows(GAUSS, X)
     for j in range(50):
         assert kernel_column(GAUSS, X, j)[j] == 1.0
+        assert kernel_column(GAUSS, prepared, j)[j] == 1.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_column_resists_cancellation(offset, scale):
+    # far from the origin an expansion on raw norms misses by about
+    # 1e-16 * ||x||^2; the reference shifts by x_j and squares differences
+    m, l = 203, 5
+    X = scale * random_dataset(m, l, seed=11).features + offset
+    spec = KernelSpec("gaussian", 1.0 / (l * scale * scale))
+    prepared = prepare_rows(spec, X)
+    for j in (0, 1, 100, m - 1):
+        diff = X - X[j]
+        ref = np.exp(-spec.sigma * np.einsum("ij,ij->i", diff, diff))
+        np.testing.assert_allclose(kernel_column(spec, prepared, j), ref, rtol=1e-13, atol=0)
+
+
+def test_column_duplicates_of_the_pivot_row():
+    # the GEMV may sum the last m mod 4 rows in another order, so duplicates
+    # there can miss 1 by rounding, but not by more than 1e-14
+    m, l, j = 103, 16, 10
+    X = random_dataset(m, l, seed=12).features + 50.0
+    dups = [3, 50, 99, 100, 101, 102]
+    X[dups] = X[j]
+    for data in (X, prepare_rows(GAUSS, X)):
+        col = kernel_column(GAUSS, data, j)
+        assert col[j] == 1.0
+        assert np.abs(col[dups] - 1.0).max() <= 1e-14
+    factor = pivoted_cholesky(X, GAUSS, r=m)
+    chosen = X[list(factor.B)]
+    # every distinct row is a pivot once, and no duplicate of one ever is
+    assert len(np.unique(chosen, axis=0)) == factor.r == m - len(dups)
+
+
+def test_column_rows_prepared_for_another_family():
+    X = random_dataset(4, 2, seed=13).features
+    with pytest.raises(InvalidInputError, match="prepared"):
+        kernel_column(LIN, prepare_rows(GAUSS, X), 0)
 
 
 def test_column_index_out_of_range():

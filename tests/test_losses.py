@@ -105,6 +105,32 @@ def test_gamma_fuses_the_oracle_gradient_and_loss():
             assert np.array_equal(loss, smoothed_truncated_loss(xi, params))
 
 
+def test_gamma_masked_exp_is_bit_identical_around_underflow():
+    # gamma evaluates exp and log1p only where p|u| < EXP_UNDERFLOW; the
+    # unmasked oracles must agree bit for bit at, below and above that
+    # level, on either side of u = 0, for negative residuals too, and
+    # across exp's own underflow near 745.13
+    from srlssvm.losses import EXP_UNDERFLOW
+
+    # p |u| = 186.5 * 4 = 746 exactly at xi = +-2, tau = 0
+    params = LossParams(tau=0.0, p=EXP_UNDERFLOW / 4.0)
+    xi = np.array([2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)])
+    xi = np.concatenate([xi, -xi])
+    assert (params.p * xi[[0, 3]] ** 2 == EXP_UNDERFLOW).all()
+    cases = [(xi, params)]
+    for tau, p in ((1.0, 1e4), (0.3, 1e4), (1.2, 1e3)):
+        level = np.concatenate([np.linspace(740.0, 752.0, 4001), [745.13, 745.14, EXP_UNDERFLOW]])
+        mags = np.concatenate([np.sqrt(tau * tau + level / p), np.sqrt(tau * tau - level / p)])
+        mags = np.concatenate([mags, np.nextafter(mags, 0.0), np.nextafter(mags, np.inf)])
+        cases.append((np.concatenate([mags, -mags]), LossParams(tau=tau, p=p)))
+    for xi, params in cases:
+        coeff, loss = gamma(xi, params)
+        a = params.p * np.abs(xi * xi - params.tau * params.tau)
+        assert (a < EXP_UNDERFLOW).any() and (a >= EXP_UNDERFLOW).any()
+        assert np.array_equal(coeff, smoothed_l2_grad(xi, params))
+        assert np.array_equal(loss, smoothed_truncated_loss(xi, params))
+
+
 def test_reweighted_identity_small_grid():
     tau = 1.0
     assert reweighted_identity_check([0.0, tau / 2, tau, 2 * tau], tau)

@@ -4,7 +4,7 @@ import pytest
 import srlssvm.kernels as kernels
 from srlssvm import InvalidInputError, KernelSpec, NumericalError, pivoted_cholesky
 
-from conftest import dense_kernel_oracle, random_dataset
+from conftest import dense_kernel_oracle, random_dataset, traced_peak_bytes
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -125,3 +125,13 @@ def test_tie_break_prefers_smallest_index():
     factor = pivoted_cholesky(ds, GAUSS, r=3)
     assert factor.B[0] == 0
 
+
+
+def test_factor_peak_memory_near_p():
+    # at fit_class's shape: P is 8 m r bytes, written in place; the prepared
+    # rows, the diagonal and one column add O(m l).  Building P in a second
+    # (r, m) buffer and copying it at the end peaked at 2.08x.
+    m, r, l = 10000, 256, 16
+    X = random_dataset(m, l, seed=10).features
+    peak = traced_peak_bytes(lambda: pivoted_cholesky(X, KernelSpec("gaussian", 0.1), r))
+    assert peak <= 1.5 * 8 * m * r

@@ -51,13 +51,19 @@ def separable_blobs(m=60, seed=0):
 
 # ------------------------------------------------------------- precompute
 
+def j_from_cholesky(pre):
+    """J = L L^T from the lower Cholesky factor precompute keeps."""
+    L = np.tril(pre.J_cho[0])
+    return L @ L.T
+
+
 def test_precompute_constant_column_factor():
     # P = e: centering annihilates it, leaving J = m*lambda and upsilon_LS = 0
     m, lam = 6, 0.5
     factor = LowRankFactor(P=np.ones((m, 1)), B=(0,), residual_trace=0.0,
                            trace_history=())
     pre = precompute(factor, np.arange(m, dtype=float), lam)
-    assert pre.J == pytest.approx(np.array([[lam]]), abs=1e-12)
+    assert j_from_cholesky(pre) == pytest.approx(np.array([[lam]]), abs=1e-12)
     assert pre.upsilon_LS == pytest.approx(np.zeros(1), abs=1e-12)
 
 
@@ -87,7 +93,7 @@ def test_precompute_j_minus_lambda_identity_is_psd():
         lam = 10.0 ** (-seed)
         pre = precompute(factor, np.zeros(30), lam)
         # oracle: eigendecomposition of the centered Gram matrix
-        centered = pre.J - lam * np.eye(factor.r)
+        centered = j_from_cholesky(pre) - lam * np.eye(factor.r)
         assert np.linalg.eigvalsh(centered).min() >= -1e-8
 
 

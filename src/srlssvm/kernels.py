@@ -3,7 +3,10 @@
 :func:`gram` is the one routine that evaluates kernel blocks k(X_i, Z_j):
 O(n r l) time and O(n r) memory for n x l queries against r x l points,
 with no (n, r, l) intermediate.  Prediction evaluates queries against the
-landmarks with it.
+landmarks with it.  The side of the block that depends on Z alone (its
+shift, the shifted rows and their squared norms) comes from
+:func:`prepare_landmarks`; a model computes it once, so each prediction
+pays only for its queries: one shift, one GEMM, the query norms and exp.
 
 The training pipeline touches the kernel matrix only through
 :func:`kernel_column` and :func:`kernel_diag`, so at most r columns plus
@@ -61,28 +64,45 @@ def _features(dataset_or_array) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreparedRows:
-    """Rows ready for :func:`kernel_column`, built by :func:`prepare_rows`.
+    """Rows ready for :func:`kernel_column` or as the Z side of :func:`gram`.
 
-    For the gaussian family ``rows`` are the rows centered at their column
-    mean and ``sq_norms`` their squared norms; for the linear family
-    ``rows`` are the rows as given and ``sq_norms`` is None.
+    For the gaussian family ``rows`` are the rows minus ``shift`` and
+    ``sq_norms`` their squared norms; for the linear family ``rows`` are
+    the rows as given and ``sq_norms`` and ``shift`` are None.
     """
 
     family: str
     rows: np.ndarray
     sq_norms: np.ndarray | None
+    shift: np.ndarray | None = None
 
 
-def prepare_rows(spec: KernelSpec, dataset) -> PreparedRows:
+def prepare_rows(spec: KernelSpec, dataset, shift=None) -> PreparedRows:
     """Ready a Dataset or an (m, l) array for repeated kernel columns.
 
-    O(m l) once, so that each column costs one GEMV plus O(m).
+    Gaussian rows are shifted by ``shift``, their column mean by default,
+    which leaves distances unchanged.  O(m l) once, so that each column
+    costs one GEMV plus O(m).
     """
     X = _features(dataset)
     if spec.family == LINEAR:
         return PreparedRows(LINEAR, X, None)
-    Xc = X - X.mean(axis=0)
-    return PreparedRows(GAUSSIAN, Xc, np.einsum("ij,ij->i", Xc, Xc))
+    shift = X.mean(axis=0) if shift is None else shift
+    Xc = X - shift
+    return PreparedRows(GAUSSIAN, Xc, np.einsum("ij,ij->i", Xc, Xc), shift)
+
+
+def prepare_landmarks(spec: KernelSpec, Z) -> PreparedRows | None:
+    """The Z side of a :func:`gram` block, which depends on Z alone.
+
+    Gaussian: Z shifted by a copy of its first row (zeros when Z has no
+    rows), with their squared norms.  None for the linear family, whose
+    block ``X @ Z.T`` needs nothing prepared.  O(r l).
+    """
+    if spec.family == LINEAR:
+        return None
+    Z = _features(Z)
+    return prepare_rows(spec, Z, shift=Z[0].copy() if len(Z) else np.zeros(Z.shape[1]))
 
 
 def kernel_column(spec: KernelSpec, dataset, j: int) -> np.ndarray:
@@ -126,7 +146,7 @@ def kernel_diag(spec: KernelSpec, dataset) -> np.ndarray:
     return (X * X).sum(axis=1)
 
 
-def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
+def gram(spec: KernelSpec, X, Z=None, *, prepared: PreparedRows | None = None) -> np.ndarray:
     """Dense kernel block k(X_i, Z_j), of shape (n, r).
 
     The gaussian block comes from the expansion ||x - c||^2 + ||z - c||^2
@@ -135,6 +155,9 @@ def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
     k(x, Z[0]) exactly 1 wherever x equals Z[0], so a kernel column's own
     entry is 1.  Rounding can leave a tiny negative squared distance
     elsewhere; it is clamped to 0.
+
+    ``prepared`` is ``prepare_landmarks(spec, Z)`` computed beforehand,
+    as a model does once; it is built here when absent.
     """
     X = _features(X)
     Z = X if Z is None else _features(Z)
@@ -143,12 +166,13 @@ def gram(spec: KernelSpec, X, Z=None) -> np.ndarray:
             f"gram: dimension mismatch {X.shape[1]} vs {Z.shape[1]}")
     if spec.family == LINEAR:
         return X @ Z.T
-    c = Z[0] if len(Z) else 0.0  # a loaded model may have no landmarks
-    Xc, Zc = X - c, Z - c
-    d2 = Xc @ Zc.T
+    if prepared is None:
+        prepared = prepare_landmarks(spec, Z)
+    Xc = X - prepared.shift
+    d2 = Xc @ prepared.rows.T
     d2 *= -2.0
     d2 += np.einsum("ij,ij->i", Xc, Xc)[:, None]
-    d2 += np.einsum("ij,ij->i", Zc, Zc)
+    d2 += prepared.sq_norms
     np.maximum(d2, 0.0, out=d2)
     d2 *= -spec.sigma
     return np.exp(d2, out=d2)

@@ -47,18 +47,22 @@ def gamma(xi, params: LossParams):
     ~0 for inliers and ~xi for outliers, and loss = xi^2 / 2 - smoothed
     L_2, both from one e = exp(-p|u|).  For u < 0, exp(p u) is e itself,
     and the exponent is never positive, so p = 1e4 cannot overflow.
-    ``exp`` and ``log1p`` run only on samples with p|u| below
-    ``EXP_UNDERFLOW``; everywhere else both are exactly 0 anyway.
+    Where p|u| reaches ``EXP_UNDERFLOW``, e is exactly 0 and both take
+    their closed form, xi * (u >= 0) and xi^2 / 2 - max(0, u) / 2; ``exp``
+    and ``log1p`` run only on the few samples below it.
     """
     xi = np.asarray(xi, dtype=float)
-    u = xi * xi - params.tau * params.tau
+    x = xi.ravel()
+    u = x * x - params.tau * params.tau
     p = params.p
-    a = -p * np.abs(u)
-    near = a > -EXP_UNDERFLOW
-    e = np.zeros_like(u)
-    np.exp(a, out=e, where=near)
-    coeff = xi * np.where(u < 0, e, 1.0) / (1.0 + e)
-    soft = np.zeros_like(u)
-    np.log1p(e, out=soft, where=near)
-    loss = 0.5 * xi * xi - (0.5 * np.maximum(0.0, u) + soft / (2.0 * p))
-    return coeff, loss
+    coeff = x * (u >= 0)
+    loss = 0.5 * x
+    loss *= x
+    loss -= 0.5 * np.maximum(0.0, u)
+    near = np.flatnonzero(p * np.abs(u) < EXP_UNDERFLOW)
+    xn, un = x[near], u[near]
+    e = np.exp(-p * np.abs(un))
+    coeff[near] = xn * np.where(un < 0, e, 1.0) / (1.0 + e)
+    loss[near] = 0.5 * xn * xn - (0.5 * np.maximum(0.0, un) + np.log1p(e) / (2.0 * p))
+    # [()] turns 0-d results into numpy scalars, as arithmetic on xi would
+    return coeff.reshape(xi.shape)[()], loss.reshape(xi.shape)[()]

@@ -1,8 +1,11 @@
 """Trained model: prediction, metrics, and persistence.
 
 Models are immutable; every operation here is safe for concurrent
-callers.  The file format is a versioned JSON header with base64-encoded
-little-endian float64 arrays, so round-trips are bit exact.
+callers.  A gaussian model prepares the landmark side of its kernel block
+once, when it is built or loaded, so predicting n points costs the
+O(n r l) block against the landmarks and no per-call set-up.  The file
+format is a versioned JSON header with base64-encoded little-endian
+float64 arrays, so round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from __future__ import annotations
 import base64
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import CLASSIFICATION, REGRESSION, Dataset
 from .errors import DataFormatError, InvalidInputError, UnsupportedVersionError
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, PreparedRows, gram, prepare_landmarks
 
 FORMAT_NAME = "srlssvm-model"
 FORMAT_VERSION = 1
@@ -27,13 +30,20 @@ SV_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Model:
-    """Decision function f(x) = sum_i alpha_i k(landmark_i, x) + b."""
+    """Decision function f(x) = sum_i alpha_i k(landmark_i, x) + b.
+
+    ``prepared`` holds ``kernels.prepare_landmarks(kernel, landmarks)``,
+    computed here once and read-only: the shift, the shifted landmarks and
+    their squared norms of a gaussian model, None for a linear one.  It is
+    left out of ``repr`` and ``==``.
+    """
 
     landmarks: np.ndarray  # (r, l)
     alpha: np.ndarray      # (r,)
     b: float
     kernel: KernelSpec
     task: str
+    prepared: PreparedRows | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = np.asarray(self.landmarks, dtype=float)
@@ -46,6 +56,11 @@ class Model:
             raise InvalidInputError("model coefficients must be finite")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise InvalidInputError(f"unknown task {self.task!r}")
+        prepared = prepare_landmarks(self.kernel, L)
+        if prepared is not None:
+            for arr in (prepared.rows, prepared.sq_norms, prepared.shift):
+                arr.flags.writeable = False
+        object.__setattr__(self, "prepared", prepared)
 
     @property
     def r(self) -> int:
@@ -64,7 +79,7 @@ def predict_raw(model: Model, x):
     if X.ndim != 2 or X.shape[1] != model.landmarks.shape[1]:
         raise InvalidInputError(
             f"expected feature dimension {model.landmarks.shape[1]}, got {x.shape}")
-    f = gram(model.kernel, X, model.landmarks) @ model.alpha + model.b
+    f = gram(model.kernel, X, model.landmarks, prepared=model.prepared) @ model.alpha + model.b
     return float(f[0]) if single else f
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, get_lapack_funcs, solve_triangular
 
 from . import losses
 from ._blas import one_blas_thread
@@ -44,6 +44,9 @@ from .model import Model
 GAMMA_NONZERO_TOL = 1e-12
 # estimated condition numbers above this abort precompute
 COND_LIMIT = 1e14
+# LAPACK's triangular solve on a Cholesky factor, called without the input
+# checks of scipy.linalg.cho_solve, which cost more than the solve at r ~ 64
+_potrs = get_lapack_funcs("potrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,16 @@ def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
             f"J is numerically singular (condition estimate {cond_est:.2e}); "
             "increase the regularization lambda")
 
-    upsilon_LS = cho_solve(J_cho, P.T @ y - (y.sum() / m) * P_hat)
+    upsilon_LS = _solve_j(J_cho, P.T @ y - (y.sum() / m) * P_hat)
     return Precomputed(J_cho, P_hat, upsilon_LS, factor, y)
+
+
+def _solve_j(J_cho, rhs) -> np.ndarray:
+    """J^(-1) rhs from J's Cholesky factor, as scipy.linalg.cho_solve gives it."""
+    x, info = _potrs(J_cho[0], rhs, lower=J_cho[1])
+    if info != 0:
+        raise NumericalError(f"LAPACK potrs failed on J (info={info})")
+    return x
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ def cccp_step(pre: Precomputed, gamma_t) -> CccpStep:
         raise InvalidInputError(f"gamma must have length m={m}")
     S = np.flatnonzero(np.abs(g) > GAMMA_NONZERO_TOL)
     q = P[S].T @ g[S] - (g.sum() / m) * pre.P_hat
-    upsilon = pre.upsilon_LS - cho_solve(pre.J_cho, q)
+    upsilon = pre.upsilon_LS - _solve_j(pre.J_cho, q)
     b = float(((pre.y - g).sum() - pre.P_hat @ upsilon) / m)
     xi = pre.y - P @ upsilon - b
     return CccpStep(upsilon, b, xi, support_size=len(S))

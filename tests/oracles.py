@@ -15,6 +15,7 @@ from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from srlssvm import InvalidInputError, LossParams, Model, predict_raw
 from srlssvm.kernels import GAUSSIAN, gram
+from srlssvm.losses import EXP_UNDERFLOW
 from srlssvm.solver import GAMMA_NONZERO_TOL, CccpStep, TrainReport
 
 # largest m the dense reference trainer accepts
@@ -64,6 +65,28 @@ def smoothed_l2_grad(xi, params: LossParams):
     u = xi * xi - params.tau * params.tau
     p = params.p
     return xi * np.exp(np.minimum(0.0, p * u)) / (1.0 + np.exp(-p * np.abs(u)))
+
+
+def gamma_full_length(xi, params: LossParams):
+    """:func:`srlssvm.losses.gamma` as one pass of full-length arrays.
+
+    The shipped routine takes the closed form where e = exp(-p|u|) is
+    exactly 0 and evaluates the formula only on the other samples; this
+    evaluates it everywhere, with ``exp`` and ``log1p`` masked where p|u|
+    reaches ``EXP_UNDERFLOW``.  Both outputs must agree bit for bit.
+    """
+    xi = np.asarray(xi, dtype=float)
+    u = xi * xi - params.tau * params.tau
+    p = params.p
+    a = -p * np.abs(u)
+    near = a > -EXP_UNDERFLOW
+    e = np.zeros_like(u)
+    np.exp(a, out=e, where=near)
+    coeff = xi * np.where(u < 0, e, 1.0) / (1.0 + e)
+    soft = np.zeros_like(u)
+    np.log1p(e, out=soft, where=near)
+    loss = 0.5 * xi * xi - (0.5 * np.maximum(0.0, u) + soft / (2.0 * p))
+    return coeff, loss
 
 
 def smoothed_truncated_loss(xi, params: LossParams):

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from srlssvm import InvalidInputError, LossParams, gamma
 
-from oracles import l2_part, reweighted_identity_check, smoothed_l2, smoothed_l2_grad, \
-    smoothed_truncated_loss, truncated_loss
+from oracles import gamma_full_length, l2_part, reweighted_identity_check, smoothed_l2, \
+    smoothed_l2_grad, smoothed_truncated_loss, truncated_loss
 
 finite_xi = st.floats(-50, 50, allow_nan=False)
 
@@ -129,6 +129,35 @@ def test_gamma_masked_exp_is_bit_identical_around_underflow():
         assert (a < EXP_UNDERFLOW).any() and (a >= EXP_UNDERFLOW).any()
         assert np.array_equal(coeff, smoothed_l2_grad(xi, params))
         assert np.array_equal(loss, smoothed_truncated_loss(xi, params))
+
+
+def test_gamma_matches_the_full_length_formula():
+    # gamma evaluates the formula only where p|u| < EXP_UNDERFLOW and the
+    # closed form elsewhere; samples near +-tau, at +-0 and at +-tau
+    # exactly must come out as the full-length formula's, bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        m = int(rng.integers(1, 3000))
+        tau = float(rng.choice([0.0, rng.uniform(0.01, 3.0)]))
+        p = float(rng.choice([10.0, 1e2, 1e4, rng.uniform(1.0, 1e5)]))
+        xi = rng.standard_normal(m) * rng.uniform(0.1, 5.0)
+        k = max(1, m // 10)
+        xi[rng.integers(0, m, k)] = rng.choice([-1.0, 1.0], k) * (
+            tau + rng.standard_normal(k) * rng.choice([1e-6, 1e-3, 1e-1]))
+        xi[rng.integers(0, m, k)] = rng.choice([0.0, -0.0, tau, -tau], k)
+        params = LossParams(tau=tau, p=p)
+        coeff, loss = gamma(xi, params)
+        want_coeff, want_loss = gamma_full_length(xi, params)
+        assert coeff.tobytes() == want_coeff.tobytes()
+        assert loss.tobytes() == want_loss.tobytes()
+
+
+@pytest.mark.parametrize("xi", [0.5, -1.0, 2.0, np.zeros((2, 3)), np.full((3, 1), 1.0)])
+def test_gamma_keeps_the_shape_of_its_input(xi):
+    params = LossParams(tau=1.0, p=1e3)
+    for got, want in zip(gamma(xi, params), gamma_full_length(xi, params)):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 def test_reweighted_identity_small_grid():

@@ -19,6 +19,7 @@ from srlssvm import (
     save,
     train,
 )
+from srlssvm.kernels import gram
 
 from conftest import traced_peak_bytes
 
@@ -84,6 +85,60 @@ def test_predict_raw_memory_is_o_n_r(n, r):
     X = rng.uniform(-1.0, 1.0, (n, l))
     peak = traced_peak_bytes(lambda: predict_raw(model, X))
     assert peak <= 2 * 8 * n * r + 4 * 8 * (n + r) * l
+
+
+def gaussian_model(r=24, l=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return Model(rng.uniform(-1.0, 1.0, (r, l)), rng.standard_normal(r), b=0.25,
+                 kernel=KernelSpec("gaussian", 0.7), task="regression")
+
+
+def served_models(tmp_path):
+    """A built, a loaded, a landmark-free and a linear model, by name."""
+    built = gaussian_model()
+    save(built, tmp_path / "m.json")
+    linear, _ = trained_model()
+    return {"built": built, "loaded": load(tmp_path / "m.json"),
+            "no-landmarks": Model(np.zeros((0, 5)), np.zeros(0), b=-0.5,
+                                  kernel=KernelSpec("gaussian", 0.7), task="regression"),
+            "linear": linear}
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded", "no-landmarks", "linear"])
+def test_predict_raw_equals_the_uncached_gram_block(tmp_path, kind):
+    # the model's prepared landmark side must give the bits gram computes alone
+    model = served_models(tmp_path)[kind]
+    l = model.landmarks.shape[1]
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 16, 256):
+        X = rng.uniform(-1.5, 1.5, (n, l))
+        want = gram(model.kernel, X, model.landmarks) @ model.alpha + model.b
+        assert np.array_equal(predict_raw(model, X), want)
+    x = X[-1]
+    assert predict_raw(model, x) == (gram(model.kernel, x[None, :], model.landmarks)
+                                     @ model.alpha + model.b)[0]
+    assert np.array_equal(predict_raw(model, model.landmarks),
+                          gram(model.kernel, model.landmarks) @ model.alpha + model.b)
+
+
+def test_prepared_landmarks_are_read_only_and_linear_models_prepare_nothing():
+    model = gaussian_model()
+    prepared = model.prepared
+    for arr in (prepared.rows, prepared.sq_norms, prepared.shift):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    np.testing.assert_array_equal(prepared.shift, model.landmarks[0])
+    assert not np.shares_memory(prepared.shift, model.landmarks)
+    model.landmarks[0, 0] += 1.0  # the caller's rows stay writable
+    assert toy_model().prepared is None
+
+
+def test_repr_and_equality_ignore_the_prepared_landmarks():
+    a = gaussian_model()
+    b = Model(a.landmarks, a.alpha, a.b, a.kernel, a.task)
+    assert a.prepared is not b.prepared
+    assert a == b
+    assert repr(a) == repr(b) and "prepared" not in repr(a)
 
 
 def test_evaluate_perfect_predictions():

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from srlssvm import (
     AnnealSchedule,
@@ -158,6 +159,33 @@ def test_fast_and_direct_paths_agree():
         assert np.abs(fast.upsilon - direct.upsilon).max() <= 1e-10
         assert abs(fast.b - direct.b) <= 1e-10
         assert np.abs(fast.xi - direct.xi).max() <= 1e-10
+
+
+def test_step_solve_matches_cho_solve_bit_for_bit():
+    # cccp_step and precompute call LAPACK potrs directly; scipy's cho_solve
+    # runs the same routine behind its input checks
+    rng = np.random.default_rng(7)
+    for seed in range(6):
+        for r in (1, 5, 32, 64):
+            m = int(rng.integers(r + 40, 400))
+            ds, factor = make_factor(m, r, seed=seed, l=3)
+            pre = precompute(factor, ds.targets, 10.0 ** rng.uniform(-4, 0))
+            P = factor.P
+            assert np.array_equal(pre.upsilon_LS, cho_solve(
+                pre.J_cho, P.T @ ds.targets - (ds.targets.sum() / m) * pre.P_hat))
+            g = np.where(rng.uniform(size=m) < 0.2, rng.standard_normal(m), 0.0)
+            S = np.flatnonzero(g)
+            q = P[S].T @ g[S] - (g.sum() / m) * pre.P_hat
+            step = cccp_step(pre, g)
+            assert np.array_equal(step.upsilon, pre.upsilon_LS - cho_solve(pre.J_cho, q))
+
+
+def test_step_solve_failure_is_numerical_error(monkeypatch):
+    ds, factor = make_factor(20, 4, seed=0)
+    pre = precompute(factor, ds.targets, 1e-2)
+    monkeypatch.setattr(solver, "_potrs", lambda c, b, lower: (b, -2))
+    with pytest.raises(NumericalError, match="potrs"):
+        cccp_step(pre, np.zeros(20))
 
 
 def test_step_matches_dense_system_oracle():

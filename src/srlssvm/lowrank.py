@@ -5,12 +5,17 @@ the diagonal.  The pivot rows of P form a lower-triangular block with
 positive diagonal, so solves against P_B cost O(r^2).
 
 The rows are prepared once (:func:`kernels.prepare_rows`), so each
-column costs one GEMV plus O(m).  Each column is updated in place and
-stored into the row-major P, the layout the solver's gathers P[S] want;
-building it in a private (r, m) buffer and copying at the end doubles
-the peak.  P is allocated before the prepared rows, which keeps a
-process that fits again and again from fragmenting its heap (see the
-comment there).
+column costs one GEMV plus O(m).  Subtracting the earlier columns' share
+is the O(m r^2) part, and it is bound by memory traffic: one pivot at a
+time, pivot t reads all of P[:, :t] again.  So :func:`pivoted_cholesky`
+takes its greedy pivots in blocks and reads P once per block; the pivots
+stay those of one column at a time, and P differs from that only by
+rounding.  A block's columns are kept in a small (candidates, m) buffer
+and written into the row-major P, the layout the solver's gathers P[S]
+want, once per block; building all of P in a private (r, m) buffer and
+copying at the end doubles the peak.  P is allocated before the
+prepared rows, which keeps a process that fits again and again from
+fragmenting its heap (see the comment there).
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ PIVOT_TIE_TOL = 1e-12
 # pivoting stops once the largest residual diagonal drops to this times m,
 # which avoids dividing by near-zero pivots
 STOP_TOL_PER_ROW = 1e-12
+# largest residual diagonals taken as the candidate pivots of one block
+CANDIDATES = 16
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,14 @@ def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int) -> LowRankFactor
     evaluated.  A kernel whose diagonal is already below that level (all-zero
     features under the linear kernel) admits no pivot and raises
     NumericalError.
+
+    The pivots are taken in blocks.  A block starts at step t0 with the
+    ``CANDIDATES`` largest residual diagonals as candidates (the greedy
+    pivot forced in), and forms the updates of their columns by the first
+    t0 columns in one GEMM, ``U = P[cands, :t0] @ P[:, :t0].T``.  Each
+    greedy pivot that is a candidate then needs only the block's own
+    columns, kept contiguous in ``W``; the first pivot that is not starts
+    the next block.  The pivot rule is the same as one column at a time.
     """
     X = np.asarray(getattr(dataset, "features", dataset), dtype=float)
     m = X.shape[0]
@@ -85,42 +100,72 @@ def pivoted_cholesky(dataset, spec: kernels.KernelSpec, r: int) -> LowRankFactor
     # size), against no growth in this order
     P = np.zeros((m, r))
     rows = kernels.prepare_rows(spec, dataset)
-    pivots: list[int] = []
+    c = min(CANDIDATES, r)
+    U = np.empty((c, m))        # updates of the block's candidate columns
+    W = np.empty((c, m))        # the block's own columns, row k = column t0 + k
+    slot = np.full(m, -1, dtype=np.intp)  # row of U for each candidate, else -1
+    cands = np.empty(0, dtype=np.intp)
+    pivots = np.empty(r, dtype=np.intp)
     history = [float(d.sum())]
+    _clamp_diag(d, 0)
 
-    for t in range(r):
-        if d.min() < NEG_DIAG_TOL:
-            raise NumericalError(
-                f"residual diagonal fell below {NEG_DIAG_TOL} at pivot step {t}; "
-                "kernel matrix is not numerically positive semi-definite")
-        np.maximum(d, 0.0, out=d)
+    t0 = t = 0
+    while t < r:
         dmax = d.max()
         if dmax <= tol:
             break
         j = int(np.argmax(d >= dmax - PIVOT_TIE_TOL))
+        k = t - t0
+        if slot[j] < 0 or k == len(cands):
+            P[:, t0:t] = W[:k].T
+            slot[cands] = -1
+            cands = _candidates(d, j, min(c, r - t))
+            slot[cands] = np.arange(len(cands))
+            np.matmul(P[cands, :t], P[:, :t].T, out=U[:len(cands)])
+            t0, k = t, 0
         root = np.sqrt(d[j])
-        col = kernels.kernel_column(spec, rows, j)
-        col -= P[:, :t] @ P[j, :t]
+        col = W[k]
+        kcol = kernels.kernel_column(spec, rows, j)
+        np.subtract(kcol, U[slot[j]], out=col)
+        if k:
+            col -= W[:k, j] @ W[:k]
         col /= root
         # exact-arithmetic zeros at previous pivots, exact root at the pivot
-        col[pivots] = 0.0
+        col[pivots[:t]] = 0.0
         col[j] = root
-        P[:, t] = col
-        # from the contiguous column, not the strided P[:, t]
-        d -= np.multiply(col, col, out=col)
+        d -= np.multiply(col, col, out=kcol)
         d[j] = 0.0
-        pivots.append(j)
-        history.append(float(np.maximum(d, 0.0).sum()))
+        pivots[t] = j
+        t += 1
+        _clamp_diag(d, t)
+        history.append(float(d.sum()))
 
-    if not pivots:
+    if t == 0:
         raise NumericalError(
             f"zero kernel matrix: its largest diagonal entry is at most {tol:.1e}, "
             "so no landmark can be chosen")
-    P = np.ascontiguousarray(P[:, :len(pivots)])
+    P[:, t0:t] = W[:t - t0].T
+    P = np.ascontiguousarray(P[:, :t])
     return LowRankFactor(
         P=P,
-        B=tuple(pivots),
+        B=tuple(pivots[:t].tolist()),
         residual_trace=history[-1],
         trace_history=tuple(history),
     )
 
+
+def _candidates(d: np.ndarray, j: int, c: int) -> np.ndarray:
+    """Indices of the c largest entries of d, with j among them."""
+    cands = np.argpartition(d, len(d) - c)[len(d) - c:]
+    if j not in cands:
+        cands[np.argmin(d[cands])] = j
+    return cands
+
+
+def _clamp_diag(d: np.ndarray, t: int) -> None:
+    """Clamp residual-diagonal drift to zero in place; fail on a breakdown."""
+    if d.min() < NEG_DIAG_TOL:
+        raise NumericalError(
+            f"residual diagonal fell below {NEG_DIAG_TOL} at pivot step {t}; "
+            "kernel matrix is not numerically positive semi-definite")
+    np.maximum(d, 0.0, out=d)

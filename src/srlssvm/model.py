@@ -72,7 +72,11 @@ class Model:
 
 
 def predict_raw(model: Model, x):
-    """Evaluate f(x); accepts a single vector or an (n, l) batch."""
+    """Evaluate f(x); accepts a single vector or an (n, l) batch.
+
+    A row's value can differ in its last bits with the size of its batch:
+    BLAS takes another kernel for a one-row product than for a block.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = x[None, :] if single else x

@@ -95,12 +95,22 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class Moments:
+    """The O(m r^2) parts of J and of the warm start, whatever lambda_m."""
+
+    PtP: np.ndarray          # P^T P
+    P_hat: np.ndarray        # P^T e
+    outer: np.ndarray        # (P^T e)(P^T e)^T / m
+    rhs: np.ndarray          # P^T y - mean(y) P_hat
+
+
+@dataclass(frozen=True)
 class Precomputed:
     """Per-training constants shared by every CCCP step."""
 
     J_cho: tuple             # Cholesky factor of J, the only solve a step needs
-    P_hat: np.ndarray        # P^T e
     upsilon_LS: np.ndarray   # J^(-1)(P^T y - mean(y) P_hat), the plain primal LSSVM
+    moments: Moments         # reusable by precompute at another lambda_m
     factor: LowRankFactor
     y: np.ndarray
 
@@ -108,9 +118,21 @@ class Precomputed:
     def m(self) -> int:
         return self.factor.m
 
+    @property
+    def P_hat(self) -> np.ndarray:
+        """P^T e."""
+        return self.moments.P_hat
 
-def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
-    """Assemble and factor J, and solve for the warm start."""
+
+def precompute(factor: LowRankFactor, y, lambda_m: float,
+               shared: Moments | None = None) -> Precomputed:
+    """Assemble and factor J, and solve for the warm start.
+
+    ``shared`` is the ``moments`` of an earlier result for the same factor
+    and targets: with it, only J, its Cholesky factor and the warm-start
+    solve are formed, which is all that depends on lambda_m.  Without it,
+    ``P^T P``, ``P^T e`` and ``P^T y`` are formed here too.
+    """
     if not (np.isfinite(lambda_m) and lambda_m > 0):
         raise InvalidInputError("lambda_m must be finite and > 0")
     P = factor.P
@@ -118,9 +140,12 @@ def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
     y = np.asarray(y, dtype=float)
     if y.shape != (m,):
         raise InvalidInputError(f"targets must have length m={m}")
+    if shared is None:
+        P_hat = P.sum(axis=0)
+        shared = Moments(PtP=P.T @ P, P_hat=P_hat, outer=np.outer(P_hat, P_hat) / m,
+                         rhs=P.T @ y - (y.sum() / m) * P_hat)
 
-    P_hat = P.sum(axis=0)
-    J = lambda_m * np.eye(r) + P.T @ P - np.outer(P_hat, P_hat) / m
+    J = lambda_m * np.eye(r) + shared.PtP - shared.outer
     try:
         J_cho = cho_factor(J, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - J is PD by construction
@@ -133,8 +158,8 @@ def precompute(factor: LowRankFactor, y, lambda_m: float) -> Precomputed:
             f"J is numerically singular (condition estimate {cond_est:.2e}); "
             "increase the regularization lambda")
 
-    upsilon_LS = _solve_j(J_cho, P.T @ y - (y.sum() / m) * P_hat)
-    return Precomputed(J_cho, P_hat, upsilon_LS, factor, y)
+    upsilon_LS = _solve_j(J_cho, shared.rhs)
+    return Precomputed(J_cho, upsilon_LS, shared, factor, y)
 
 
 def _solve_j(J_cho, rhs) -> np.ndarray:
@@ -221,14 +246,15 @@ def _fit(dataset: Dataset, spec: KernelSpec, configs: list[SolverConfig],
          robust: bool) -> list[tuple[Model, TrainReport]]:
     """The CCCP loop every trainer runs, once per config.
 
-    The factor is built once for all of ``configs``, which share rank_r.
-    ``precompute`` and the gamma = 0 step run once per distinct lambda_m:
-    that step is the plain primal LSSVM and the loop's first iterate, and
-    it does not depend on tau.  A plain fit stops there and ignores
-    ``config.anneal``.  A robust fit refreshes gamma from the residuals and
-    iterates until the gamma change drops below epsilon or max_iter is hit;
-    with a schedule it then shrinks tau by delta and goes on, until
-    convergence at tau_min.
+    The factor is built once for all of ``configs``, which share rank_r,
+    and so are its products ``P^T P``, ``P^T e`` and ``P^T y``, by the
+    first ``precompute``.  ``precompute`` and the gamma = 0 step run once
+    per distinct lambda_m: that step is the plain primal LSSVM and the
+    loop's first iterate, and it does not depend on tau.  A plain fit
+    stops there and ignores ``config.anneal``.  A robust fit refreshes
+    gamma from the residuals and iterates until the gamma change drops
+    below epsilon or max_iter is hit; with a schedule it then shrinks tau
+    by delta and goes on, until convergence at tau_min.
 
     Each report's wall time runs from the end of the previous config's
     model (the call's start for the first), so it covers the shared work
@@ -237,11 +263,13 @@ def _fit(dataset: Dataset, spec: KernelSpec, configs: list[SolverConfig],
     t0 = time.perf_counter()
     factor = pivoted_cholesky(dataset, spec, configs[0].rank_r)
     m = factor.m
+    shared = None
     warm: dict[float, tuple[Precomputed, CccpStep]] = {}
     results = []
     for config in configs:
         if config.lambda_m not in warm:
-            pre = precompute(factor, dataset.targets, config.lambda_m)
+            pre = precompute(factor, dataset.targets, config.lambda_m, shared)
+            shared = pre.moments
             warm[config.lambda_m] = (pre, cccp_step(pre, np.zeros(m)))
         pre, step = warm[config.lambda_m]
         gamma = np.zeros(m)
@@ -317,10 +345,11 @@ def train_many(dataset: Dataset, spec: KernelSpec,
 
     Every fit equals ``train(dataset, spec, config)`` bit for bit, but the
     configs share work: the pivoted-Cholesky factor is built once, since it
-    depends only on the rows, the kernel and rank_r, and ``precompute`` and
-    the gamma = 0 warm start run once per distinct lambda_m, since they do
-    not depend on tau.  Returns one ``(model, report)`` per config, in
-    order; each model has its own copy of the landmark rows.  A report's
+    depends only on the rows, the kernel and rank_r, and so are its
+    products ``P^T P``, ``P^T e`` and ``P^T y``; ``precompute`` and the
+    gamma = 0 warm start run once per distinct lambda_m, since they do not
+    depend on tau.  Returns one ``(model, report)`` per config, in order;
+    each model has its own copy of the landmark rows.  A report's
     ``wall_time_ms`` covers its own CCCP loop plus the shared work it was
     the first config to need, so the times of one call sum to its wall
     time.  An empty list, or configs whose rank_r differ, is an

@@ -13,9 +13,10 @@ import time
 import numpy as np
 from scipy.linalg import cho_solve, lu_factor, lu_solve
 
-from srlssvm import InvalidInputError, LossParams, Model, predict_raw
+from srlssvm import InvalidInputError, LossParams, Model, NumericalError, kernels, predict_raw
 from srlssvm.kernels import GAUSSIAN, gram
 from srlssvm.losses import EXP_UNDERFLOW
+from srlssvm.lowrank import NEG_DIAG_TOL, PIVOT_TIE_TOL, STOP_TOL_PER_ROW, LowRankFactor
 from srlssvm.solver import GAMMA_NONZERO_TOL, CccpStep, TrainReport
 
 # largest m the dense reference trainer accepts
@@ -112,6 +113,49 @@ def objective(model_or_state, dataset, config) -> float:
         quad = float(model_or_state.upsilon @ model_or_state.upsilon)
     return config.lambda_m / (2.0 * dataset.m) * quad + float(
         np.mean(smoothed_truncated_loss(xi, params)))
+
+
+def pivoted_cholesky_columnwise(dataset, spec, r: int) -> LowRankFactor:
+    """:func:`srlssvm.pivoted_cholesky` one column at a time.
+
+    Each pivot t subtracts ``P[:, :t] @ P[j, :t]`` from its kernel column,
+    which reads the whole factor so far again; the shipped routine forms
+    those updates for a block of candidate pivots in one GEMM.  Same pivot
+    rule, tie-break, stopping rule and exact zeros, so the pivots must be
+    identical and P equal up to rounding.
+    """
+    X = np.asarray(getattr(dataset, "features", dataset), dtype=float)
+    m = X.shape[0]
+    tol = STOP_TOL_PER_ROW * m
+    d = np.asarray(kernels.kernel_diag(spec, dataset), dtype=float).copy()
+    P = np.zeros((m, r))
+    rows = kernels.prepare_rows(spec, dataset)
+    pivots: list[int] = []
+    history = [float(d.sum())]
+    for t in range(r):
+        if d.min() < NEG_DIAG_TOL:
+            raise NumericalError(f"residual diagonal fell below {NEG_DIAG_TOL} "
+                                 f"at pivot step {t}")
+        np.maximum(d, 0.0, out=d)
+        dmax = d.max()
+        if dmax <= tol:
+            break
+        j = int(np.argmax(d >= dmax - PIVOT_TIE_TOL))
+        root = np.sqrt(d[j])
+        col = kernels.kernel_column(spec, rows, j)
+        col -= P[:, :t] @ P[j, :t]
+        col /= root
+        col[pivots] = 0.0
+        col[j] = root
+        P[:, t] = col
+        d -= col * col
+        d[j] = 0.0
+        pivots.append(j)
+        history.append(float(np.maximum(d, 0.0).sum()))
+    if not pivots:
+        raise NumericalError("zero kernel matrix")
+    return LowRankFactor(P=np.ascontiguousarray(P[:, :len(pivots)]), B=tuple(pivots),
+                         residual_trace=history[-1], trace_history=tuple(history))
 
 
 def cccp_step_direct(pre, gamma_t) -> CccpStep:

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from srlssvm import (
     AnnealSchedule,
@@ -96,6 +96,36 @@ def test_precompute_j_minus_lambda_identity_is_psd():
         # oracle: eigendecomposition of the centered Gram matrix
         centered = j_from_cholesky(pre) - lam * np.eye(factor.r)
         assert np.linalg.eigvalsh(centered).min() >= -1e-8
+
+
+def test_shared_moments_keep_precompute_bit_for_bit(monkeypatch):
+    # train_many forms P^T P, P^T e and P^T y once per factor and hands
+    # them to precompute for each lambda_m; J and the warm start must come
+    # out as if precompute had formed everything from P itself
+    ds, factor = make_factor(200, 24, seed=14, l=3)
+    seen = []
+    real = solver.precompute
+
+    def recording(fac, y, lambda_m, shared=None):
+        seen.append((shared, real(fac, y, lambda_m, shared)))
+        return seen[-1][1]
+    monkeypatch.setattr(solver, "precompute", recording)
+    solver.train_many(ds, GAUSS, [SolverConfig(lambda_m=lam, tau=0.5, rank_r=24)
+                                  for lam in (1e-2, 1e-1, 1e-2, 1.0)])
+    assert [shared is None for shared, _ in seen] == [True, False, False]
+    assert all(shared is seen[0][1].moments for shared, _ in seen[1:])
+
+    P, m, y = factor.P, factor.m, ds.targets
+    P_hat = P.sum(axis=0)
+    shared = precompute(factor, y, 1e-3).moments
+    for lam in (1e-4, 1e-2, 1.0, 10.0):
+        J_cho = cho_factor(lam * np.eye(factor.r) + P.T @ P - np.outer(P_hat, P_hat) / m,
+                           lower=True)
+        for pre in (precompute(factor, y, lam, shared), precompute(factor, y, lam)):
+            assert np.array_equal(pre.J_cho[0], J_cho[0])
+            assert np.array_equal(pre.P_hat, P_hat)
+            assert np.array_equal(pre.upsilon_LS,
+                                  cho_solve(J_cho, P.T @ y - (y.sum() / m) * P_hat))
 
 
 def test_precompute_singular_j_raises():
